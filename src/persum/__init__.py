@@ -26,13 +26,11 @@ from .cyclotomic import (
     IntPolynomial,
     characteristic_poly,
     cyclotomic_poly,
-    poly_divmod_exact,
-    poly_mul,
     poly_powmod,
     x_power_minus_one,
 )
 from .groups import IntVector, ModInt, same_realization, scale, zero_like
-from .numth import divisors, euler_phi, gcd, lcm_all
+from .numth import divisors, euler_phi, lcm_all
 from .reconstruction import (
     CoefficientTable,
     ConstancyResult,
@@ -41,7 +39,6 @@ from .reconstruction import (
     TableSizeError,
     coefficient_table,
     constancy_check,
-    eval_sum,
     extrapolate,
     finewilf_difference_gcd,
     recurrence_coeffs,
@@ -81,11 +78,9 @@ __all__ = [
     "cyclotomic_poly",
     "divisors",
     "euler_phi",
-    "eval_sum",
     "extrapolate",
     "finewilf_difference_gcd",
     "fraction_str",
-    "gcd",
     "gcd_window",
     "lcm_all",
     "maximal_moduli_distinct",
@@ -93,8 +88,6 @@ __all__ = [
     "odd_cover_check",
     "parse_fraction",
     "parse_residue_system",
-    "poly_divmod_exact",
-    "poly_mul",
     "poly_powmod",
     "recurrence_coeffs",
     "same_realization",

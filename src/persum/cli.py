@@ -14,12 +14,10 @@ import sys
 from pathlib import Path
 
 from .covering import (
-    WindowClassResult,
     gcd_window,
     maximal_moduli_distinct,
     multiplicity,
     parse_residue_system,
-    window_class_check,
 )
 from .cyclotomic import characteristic_poly
 from .groups import IntVector, ModInt
@@ -236,17 +234,16 @@ def cmd_cover(args) -> dict:
         "maximal_moduli_distinct": maximal_moduli_distinct(system),
     }
     if args.odd:
-        doc["odd_cover"] = window_class_check(system, 2, 1, args.start).ok
+        doc["odd_cover"] = all(w % 2 == 1 for w in window)
     if args.check is not None:
         m, a = args.check
         if m < 1:
             raise ValueError(f"check modulus must be positive, got {m}")
-        result: WindowClassResult = window_class_check(system, m, a, args.start)
         doc["class_check"] = {
             "m": str(m),
             "a": str(a % m),
-            "ok": result.ok,
-            "window": [str(w) for w in result.window],
+            "ok": all(w % m == a % m for w in window),
+            "window": doc["window"],
         }
     if args.gcd_window is not None:
         a, b = args.gcd_window

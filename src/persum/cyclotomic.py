@@ -3,7 +3,8 @@
 Coefficients are stored in ascending degree order (constant term first);
 printing is descending. All arithmetic stays in arbitrary-precision ints,
 and division is only offered against divisors with a unit leading
-coefficient, which is exactly what the cyclotomic recursion needs.
+coefficient. Cyclotomic and characteristic polynomials are both formed as
+products of binomials (x^g - 1)^e_g, one O(degree) pass per factor.
 
 >>> cyclotomic_poly(6)
 IntPolynomial(coeffs=(1, -1, 1))
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numth import check_positive, divisors
+from .numth import check_positive, divisors, gcd_exponents
 from .spectrum import Spectrum
 
 # Below this many coefficients on either side, schoolbook convolution beats
@@ -180,47 +181,51 @@ def _pack(coeffs, bits: int) -> int:
     return _pack(coeffs[:half], bits) + (_pack(coeffs[half:], bits) << (bits * half))
 
 
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact product; deg(p*q) = deg p + deg q for nonzero inputs."""
-    return p * q
-
-
-def poly_divmod_exact(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Integer long division of p by q; see IntPolynomial.divmod_exact."""
-    return p.divmod_exact(q)
-
-
 def x_power_minus_one(n: int) -> IntPolynomial:
     """x^n - 1."""
     check_positive(n, "n")
     return IntPolynomial([-1] + [0] * (n - 1) + [1])
 
 
+def _binomial_product(exps: dict[int, int]) -> IntPolynomial:
+    """prod_g (x^g - 1)^e_g, for signed exponents whose product is a polynomial.
+
+    All multiplications come first, so every division that follows is
+    exact: if q * (x^g - 1) == p then q_i = q_(i-g) - p_i.
+    """
+    p = [1]
+    for g, e in exps.items():
+        for _ in range(e):
+            p = [a - b for a, b in zip([0] * g + p, p + [0] * g)]
+    for g, e in exps.items():
+        for _ in range(-e):
+            p = [-c for c in p[: len(p) - g]]
+            for i in range(g, len(p)):
+                p[i] += p[i - g]
+    return IntPolynomial(p)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, by exact division of x^d - 1.
+    """The d-th cyclotomic polynomial: x^d - 1 over the lcm of the x^e - 1
+    for the proper divisors e of d.
 
-    Dividing out the cyclotomic polynomials of the proper divisors of d is
-    exact at every step, so the result is monic of degree phi(d) with
-    integer coefficients.
+    The result is monic of degree phi(d) with integer coefficients.
     """
     check_positive(d, "d")
-    poly = x_power_minus_one(d)
-    for e in divisors(d)[:-1]:
-        poly, _ = poly.divmod_exact(cyclotomic_poly(e))
-    return poly
+    exps = {g: -e for g, e in gcd_exponents(divisors(d)[:-1]).items()}
+    exps[d] = 1
+    return _binomial_product(exps)
 
 
 def characteristic_poly(sp: Spectrum) -> IntPolynomial:
     """Product of the cyclotomic polynomials over the divisor closure.
 
-    Monic with integer coefficients; its degree equals the spectrum size,
-    and it divides x^N - 1 exactly for N = sp.modulus.
+    That product is the lcm of the x^d - 1 over the closure. Monic with
+    integer coefficients; its degree equals the spectrum size, and it
+    divides x^N - 1 exactly for N = sp.modulus.
     """
-    result = ONE
-    for d in sp.divisor_closure:
-        result = result * cyclotomic_poly(d)
-    return result
+    return _binomial_product(gcd_exponents(sp.divisor_closure))
 
 
 def poly_powmod(base: IntPolynomial, exponent: int, modulus: IntPolynomial) -> IntPolynomial:

@@ -8,7 +8,7 @@ than wrapped in a dedicated integer type.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def check_positive(n: int, what: str = "value") -> int:
@@ -18,9 +18,25 @@ def check_positive(n: int, what: str = "value") -> int:
     return n
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers; gcd(a, 0) == a."""
-    return math.gcd(a, b)
+def gcd_exponents(values: Iterable[int]) -> dict[int, int]:
+    """Signed gcd counts: e_g sums (-1)^(|T|+1) over the nonempty subsets T
+    of values with gcd(T) == g; zero entries are dropped.
+
+    Values are folded in one at a time, at one gcd per distinct gcd so far
+    instead of one per subset. sum(g * e_g) is the inclusion-exclusion
+    size of the union of the (1/v)Z/Z, and prod (x^g - 1)^e_g is the lcm
+    of the x^v - 1.
+    """
+    exps: dict[int, int] = {}
+    for v in values:
+        step = {v: 1}
+        for g, e in exps.items():
+            h = math.gcd(g, v)
+            step[h] = step.get(h, 0) - e
+        for g, e in step.items():
+            exps[g] = exps.get(g, 0) + e
+        exps = {g: e for g, e in exps.items() if e}
+    return exps
 
 
 def lcm_all(values: Sequence[int]) -> int:

@@ -164,16 +164,6 @@ def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> Coe
     return CoefficientTable(sp, coeffs, tuple(rows), ps.periods)
 
 
-def eval_sum(psi: SumOfPeriodicMaps, x: int):
-    """Value of a sum of periodic maps at x, by direct table lookup.
-
-    This is the brute-force route the table machinery is checked against:
-    each component contributes its value at the least nonnegative residue
-    of x modulo its own period.
-    """
-    return psi(x)
-
-
 def extrapolate(table: CoefficientTable, initial, x: int):
     """Reconstruct the value at any integer x from l initial values.
 

@@ -9,16 +9,10 @@ the three to agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .numth import check_positive, divisors, euler_phi, lcm_all
-
-# size_by_inclusion_exclusion enumerates 2**k - 1 subsets; past this many
-# periods that sum is no longer desk-scale.
-SUBSET_LIMIT = 25
+from .numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all
 
 
 @dataclass(frozen=True)
@@ -70,16 +64,9 @@ def size_by_phi(ps: PeriodSystem) -> int:
 
 
 def size_by_inclusion_exclusion(ps: PeriodSystem) -> int:
-    """Spectrum size as the signed sum of gcds over nonempty period subsets."""
-    k = len(ps.periods)
-    if k > SUBSET_LIMIT:
-        raise ValueError("subset enumeration limit")
-    total = 0
-    for size in range(1, k + 1):
-        sign = 1 if size % 2 else -1
-        for subset in combinations(ps.periods, size):
-            total += sign * math.gcd(*subset)
-    return total
+    """Spectrum size as the signed sum of gcds over nonempty period subsets,
+    merged per distinct gcd by gcd_exponents instead of listed."""
+    return sum(g * e for g, e in gcd_exponents(ps.periods).items())
 
 
 def fraction_str(value: Fraction) -> str:

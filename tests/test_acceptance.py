@@ -12,14 +12,13 @@ import random
 from conftest import criterion
 
 from persum.cli import main
-from persum.cyclotomic import ONE, X, characteristic_poly, poly_divmod_exact, poly_powmod, x_power_minus_one
+from persum.cyclotomic import ONE, X, characteristic_poly, poly_powmod, x_power_minus_one
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
     PeriodicMap,
     SumOfPeriodicMaps,
     coefficient_table,
     constancy_check,
-    eval_sum,
     extrapolate,
     finewilf_difference_gcd,
     recurrence_coeffs,
@@ -80,7 +79,7 @@ def test_criterion_02_characteristic_polynomial():
             assert poly_powmod(X, sp.modulus, p) == ONE
             # second route on small moduli: direct long division
             if sp.modulus <= 1000:
-                quot, rem = poly_divmod_exact(x_power_minus_one(sp.modulus), p)
+                quot, rem = x_power_minus_one(sp.modulus).divmod_exact(p)
                 assert rem.is_zero()
                 assert quot * p == x_power_minus_one(sp.modulus)
                 direct_checked += 1
@@ -109,9 +108,9 @@ def test_criterion_03_reconstruction_identity():
                         for n in periods
                     )
                 )
-                initial = [eval_sum(psi, r) for r in range(l)]
+                initial = [psi(r) for r in range(l)]
                 for x in range(-N, 2 * N):
-                    assert extrapolate(table, initial, x) == eval_sum(psi, x)
+                    assert extrapolate(table, initial, x) == psi(x)
 
 
 def test_criterion_04_table_structure():
@@ -160,7 +159,7 @@ def test_criterion_06_local_global_constancy():
                         for comp in values
                     )
                 )
-                trace = [eval_sum(psi, x) for x in range(N + l)]
+                trace = [psi(x) for x in range(N + l)]
                 for a in range(N):
                     if constancy_check(t, trace[a : a + l]):
                         hits += 1

@@ -15,7 +15,7 @@ from persum.covering import (
     parse_residue_system,
     window_class_check,
 )
-from persum.reconstruction import SumOfPeriodicMaps, eval_sum
+from persum.reconstruction import SumOfPeriodicMaps
 
 
 def system(*pairs):
@@ -97,7 +97,7 @@ def test_multiplicity_agrees_with_indicator_sum():
         sys = random_system(rng)
         psi = SumOfPeriodicMaps(tuple(cls.indicator_map() for cls in sys.classes))
         for x in range(-15, 30):
-            assert multiplicity(sys, x) == eval_sum(psi, x)
+            assert multiplicity(sys, x) == psi(x)
 
 
 def test_window_class_check_examples():

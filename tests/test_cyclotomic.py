@@ -2,6 +2,7 @@
 characteristic polynomial of a period system."""
 
 import doctest
+import functools
 import math
 import random
 
@@ -14,8 +15,6 @@ from persum.cyclotomic import (
     IntPolynomial,
     characteristic_poly,
     cyclotomic_poly,
-    poly_divmod_exact,
-    poly_mul,
     poly_powmod,
     x_power_minus_one,
 )
@@ -30,6 +29,16 @@ def schoolbook_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def cascade_cyclotomic(d):
+    # reference route: x^d - 1 long-divided by the cyclotomic polynomial
+    # of each proper divisor in turn
+    poly = x_power_minus_one(d)
+    for e in divisors(d)[:-1]:
+        poly, _ = poly.divmod_exact(cascade_cyclotomic(e))
+    return poly
 
 
 def random_poly(rng, max_deg=12, max_abs=30):
@@ -120,13 +129,13 @@ def test_kronecker_route_matches_schoolbook():
 
 
 def test_divmod_exact_examples():
-    q, r = poly_divmod_exact(x_power_minus_one(6), IntPolynomial((-1, -1, 0, 1, 1)))
+    q, r = x_power_minus_one(6).divmod_exact(IntPolynomial((-1, -1, 0, 1, 1)))
     assert q == IntPolynomial((1, -1, 1))
     assert r.is_zero()
-    q, r = poly_divmod_exact(IntPolynomial((-1, 0, 1)), IntPolynomial((-1, 1)))
+    q, r = IntPolynomial((-1, 0, 1)).divmod_exact(IntPolynomial((-1, 1)))
     assert q == IntPolynomial((1, 1))
     assert r.is_zero()
-    q, r = poly_divmod_exact(IntPolynomial((0, 0, 0, 1)), IntPolynomial((0, 0, 1)))
+    q, r = IntPolynomial((0, 0, 0, 1)).divmod_exact(IntPolynomial((0, 0, 1)))
     assert q == X
     assert r.is_zero()
 
@@ -138,20 +147,20 @@ def test_divmod_round_trips_random_products():
         d = random_poly(rng, max_deg=7) + x_power_minus_one(8) + ONE
         q = random_poly(rng, max_deg=8)
         prod = d * q
-        quot, rem = poly_divmod_exact(prod, d)
+        quot, rem = prod.divmod_exact(d)
         assert rem.is_zero()
         assert quot == q
 
 
 def test_divmod_requires_unit_leading_coefficient():
     with pytest.raises(ValueError, match="inexact division"):
-        poly_divmod_exact(IntPolynomial((1, 1)), IntPolynomial((1, 2)))
+        IntPolynomial((1, 1)).divmod_exact(IntPolynomial((1, 2)))
     with pytest.raises(ValueError, match="inexact division"):
-        poly_divmod_exact(IntPolynomial((1, 1)), IntPolynomial(()))
+        IntPolynomial((1, 1)).divmod_exact(IntPolynomial(()))
 
 
 def test_nonzero_remainder():
-    q, r = poly_divmod_exact(IntPolynomial((1, 0, 1)), IntPolynomial((1, 1)))
+    q, r = IntPolynomial((1, 0, 1)).divmod_exact(IntPolynomial((1, 1)))
     # x^2 + 1 = (x - 1)(x + 1) + 2
     assert q == IntPolynomial((-1, 1))
     assert r == IntPolynomial((2,))
@@ -216,6 +225,28 @@ def test_cyclotomic_105_has_coefficient_minus_two():
         assert set(cyclotomic_poly(d).coeffs) <= {-1, 0, 1}
 
 
+def test_cyclotomic_matches_division_cascade():
+    for d in range(1, 301):
+        assert cyclotomic_poly(d) == cascade_cyclotomic(d)
+
+
+def test_cyclotomic_30030_is_monic_of_degree_phi():
+    f = cyclotomic_poly(30030)
+    assert f.is_monic()
+    assert f.degree == 5760 == euler_phi(30030)
+
+
+def test_characteristic_poly_is_schoolbook_product_over_closure():
+    rng = random.Random(27)
+    for _ in range(100):
+        ps = PeriodSystem(tuple(rng.randint(1, 60) for _ in range(rng.randint(1, 6))))
+        sp = build_spectrum(ps)
+        expect = [1]
+        for d in sp.divisor_closure:
+            expect = schoolbook_mul(expect, cascade_cyclotomic(d).coeffs)
+        assert characteristic_poly(sp).coeffs == tuple(expect)
+
+
 def test_characteristic_poly_examples():
     sp = build_spectrum(PeriodSystem((2, 3)))
     assert characteristic_poly(sp) == IntPolynomial((-1, -1, 0, 1, 1))
@@ -241,7 +272,7 @@ def test_characteristic_poly_divides_common_period_polynomial():
         ps = PeriodSystem(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
         sp = build_spectrum(ps)
         p = characteristic_poly(sp)
-        quot, rem = poly_divmod_exact(x_power_minus_one(sp.modulus), p)
+        quot, rem = x_power_minus_one(sp.modulus).divmod_exact(p)
         assert rem.is_zero()
         assert quot * p == x_power_minus_one(sp.modulus)
 
@@ -270,7 +301,7 @@ def test_poly_powmod_matches_direct_remainder():
         direct = ONE
         for _ in range(e):
             direct = direct * X
-        _, expect = poly_divmod_exact(direct, mod)
+        _, expect = direct.divmod_exact(mod)
         assert got == expect
 
 

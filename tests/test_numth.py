@@ -1,11 +1,12 @@
 """Tests for the small number-theory helpers."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from persum.numth import check_positive, divisors, euler_phi, gcd, lcm_all
+from persum.numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all
 
 
 def phi_by_count(n):
@@ -32,9 +33,9 @@ def test_check_positive_rejects_bad_values():
 
 
 def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(7, 13) == 1
-    assert gcd(5, 5) == 5
+    assert math.gcd(12, 18) == 6
+    assert math.gcd(7, 13) == 1
+    assert math.gcd(5, 5) == 5
 
 
 def test_gcd_lcm_product_identity():
@@ -42,7 +43,32 @@ def test_gcd_lcm_product_identity():
     for _ in range(300):
         a = rng.randint(1, 1000)
         b = rng.randint(1, 1000)
-        assert gcd(a, b) * lcm_all([a, b]) == a * b
+        assert math.gcd(a, b) * lcm_all([a, b]) == a * b
+
+
+def gcd_exponents_by_subsets(values):
+    # independent oracle: walk all 2**k - 1 subsets
+    exps = {}
+    for size in range(1, len(values) + 1):
+        for subset in itertools.combinations(values, size):
+            g = math.gcd(*subset)
+            exps[g] = exps.get(g, 0) + (1 if size % 2 else -1)
+    return {g: e for g, e in exps.items() if e}
+
+
+def test_gcd_exponents_examples():
+    assert gcd_exponents([]) == {}
+    assert gcd_exponents([6]) == {6: 1}
+    assert gcd_exponents([2, 3]) == {2: 1, 3: 1, 1: -1}
+    assert gcd_exponents([2, 2, 2]) == {2: 1}
+    assert gcd_exponents([1, 2, 3, 6]) == {6: 1}
+
+
+def test_gcd_exponents_against_subsets():
+    rng = random.Random(3)
+    for _ in range(200):
+        values = [rng.randint(1, 60) for _ in range(rng.randint(1, 8))]
+        assert gcd_exponents(values) == gcd_exponents_by_subsets(values)
 
 
 def test_lcm_examples():

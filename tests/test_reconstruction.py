@@ -16,7 +16,6 @@ from persum.reconstruction import (
     TableSizeError,
     coefficient_table,
     constancy_check,
-    eval_sum,
     extrapolate,
     finewilf_difference_gcd,
     recurrence_coeffs,
@@ -69,26 +68,26 @@ def test_sum_of_maps_requires_common_realization():
 
 def test_eval_sum_examples():
     psi = SumOfPeriodicMaps((PeriodicMap((1, 0)), PeriodicMap((0, 0, 1))))
-    assert eval_sum(psi, 2) == 2
+    assert psi(2) == 2
     assert psi.period_system == PeriodSystem((2, 3))
     # full fundamental period: 1+0, 0+0, 1+1, 0+0, 1+0, 0+1
-    assert [eval_sum(psi, x) for x in range(6)] == [1, 0, 2, 0, 1, 1]
-    assert eval_sum(psi, -1) == 1
-    assert eval_sum(psi, 6) == eval_sum(psi, 0)
+    assert [psi(x) for x in range(6)] == [1, 0, 2, 0, 1, 1]
+    assert psi(-1) == 1
+    assert psi(6) == psi(0)
 
 
 def test_eval_sum_zero_components_give_zero():
     psi = SumOfPeriodicMaps((PeriodicMap((0, 0)), PeriodicMap((0, 0, 0))))
     for x in (-7, 0, 5, 11):
-        assert eval_sum(psi, x) == 0
+        assert psi(x) == 0
     zmod = SumOfPeriodicMaps((PeriodicMap((ModInt(0, 4),)),))
-    assert eval_sum(zmod, 123) == ModInt(0, 4)
+    assert zmod(123) == ModInt(0, 4)
 
 
 def test_eval_sum_single_component_periodicity():
     g = PeriodicMap((7, -3, 5))
     psi = SumOfPeriodicMaps((g,))
-    assert eval_sum(psi, 3) == eval_sum(psi, 0) == 7
+    assert psi(3) == psi(0) == 7
 
 
 def test_recurrence_coeffs_examples():
@@ -220,9 +219,9 @@ def test_reconstruction_identity_integers():
         periods = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 3)))
         t = coefficient_table(PeriodSystem(periods))
         psi = random_sum(rng, periods, lambda r: r.randint(-9, 9))
-        initial = [eval_sum(psi, r) for r in range(t.width)]
+        initial = [psi(r) for r in range(t.width)]
         for x in range(-t.modulus, 2 * t.modulus):
-            assert extrapolate(t, initial, x) == eval_sum(psi, x)
+            assert extrapolate(t, initial, x) == psi(x)
 
 
 def test_reconstruction_identity_mod_m():
@@ -232,9 +231,9 @@ def test_reconstruction_identity_mod_m():
         m = rng.randint(1, 12)
         t = coefficient_table(PeriodSystem(periods))
         psi = random_sum(rng, periods, lambda r: ModInt(r.randint(0, 50), m))
-        initial = [eval_sum(psi, r) for r in range(t.width)]
+        initial = [psi(r) for r in range(t.width)]
         for x in range(-t.modulus, 2 * t.modulus):
-            assert extrapolate(t, initial, x) == eval_sum(psi, x)
+            assert extrapolate(t, initial, x) == psi(x)
 
 
 def test_reconstruction_identity_vectors():
@@ -248,9 +247,9 @@ def test_reconstruction_identity_vectors():
             periods,
             lambda r: IntVector(tuple(r.randint(-9, 9) for _ in range(dim))),
         )
-        initial = [eval_sum(psi, r) for r in range(t.width)]
+        initial = [psi(r) for r in range(t.width)]
         for x in range(-t.modulus, 2 * t.modulus):
-            assert extrapolate(t, initial, x) == eval_sum(psi, x)
+            assert extrapolate(t, initial, x) == psi(x)
 
 
 def test_constancy_check_examples():
@@ -284,7 +283,7 @@ def test_constant_window_forces_constant_map():
                     PeriodicMap(tuple(ModInt(b, 2) for b in bits_h)),
                 )
             )
-            values = [eval_sum(psi, x) for x in range(N + l)]
+            values = [psi(x) for x in range(N + l)]
             for a in range(N):
                 window = values[a : a + l]
                 if constancy_check(t, window):

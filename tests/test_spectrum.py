@@ -173,10 +173,14 @@ def test_order_and_repeats_do_not_matter():
     assert build_spectrum(PeriodSystem((2, 3))) != build_spectrum(PeriodSystem((6,)))
 
 
-def test_subset_enumeration_limit():
-    ps = PeriodSystem((2,) * 26)
-    with pytest.raises(ValueError):
-        size_by_inclusion_exclusion(ps)
+def test_inclusion_exclusion_takes_any_number_of_periods():
+    # 2**26 - 1 subsets, all of gcd 2
+    assert size_by_inclusion_exclusion(PeriodSystem((2,) * 26)) == 2
+    # the Farey fractions of order 40 in [0, 1), by all three routes
+    ps = PeriodSystem(tuple(range(1, 41)))
+    assert len(build_spectrum(ps)) == 490
+    assert size_by_phi(ps) == 490
+    assert size_by_inclusion_exclusion(ps) == 490
 
 
 def test_fraction_round_trip():
