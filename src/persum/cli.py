@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .reconstruction import (
     coefficient_table,
     extrapolate,
     finewilf_difference_gcd,
+    finewilf_window,
     table_to_json_dict,
 )
 from .spectrum import (
@@ -47,6 +47,22 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
+
+
+class _SignedValueMatcher:
+    """Stands in for argparse's negative-number pattern on `extrapolate`.
+
+    argparse reads a token that starts with '-' as a value only when the
+    pattern matches it, and its own pattern takes plain numbers alone, so
+    a --vec value such as -4,12,-18 would read as an unknown option. This
+    takes every token with a digit after the '-'; a malformed one is then
+    refused by the value parser, still with exit 2. Not a compiled regex,
+    which would cost a fresh process about 0.5 ms on every command.
+    """
+
+    @staticmethod
+    def match(token: str) -> bool:
+        return token[1:2].isdecimal()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--int", dest="group_int", action="store_true", help="plain integers (default)")
     group.add_argument("--mod", type=positive_int, metavar="M", help="integers mod M")
     group.add_argument("--vec", type=positive_int, metavar="D", help="integer vectors of dimension D")
+    p._negative_number_matcher = _SignedValueMatcher
     p.set_defaults(func=cmd_extrapolate)
 
     p = sub.add_parser("cover", help="covering-multiplicity window checks")
@@ -197,8 +214,7 @@ def cmd_extrapolate(args) -> dict:
         initial = [parse(tok) for tok in args.initial]
     except ValueError as exc:
         raise ValueError(f"bad initial value: {exc}") from None
-    table = coefficient_table(ps)
-    value = extrapolate(table, initial, args.at)
+    value = extrapolate(ps, initial, args.at)
     return {
         "periods": [str(n) for n in ps.periods],
         **group,
@@ -268,14 +284,13 @@ def cmd_finewilf(args) -> dict:
             )
     g = PeriodicMap(tuple(args.first))
     h = PeriodicMap(tuple(args.second))
-    window = g.period + h.period - math.gcd(g.period, h.period)
     diff_gcd = finewilf_difference_gcd(g, h)
     return {
         "first": [str(v) for v in g.values],
         "second": [str(v) for v in h.values],
         "first_period": str(g.period),
         "second_period": str(h.period),
-        "window_length": str(window),
+        "window_length": str(finewilf_window(g.period, h.period)),
         "difference_gcd": str(diff_gcd),
         "identical": diff_gcd == 0,
     }

@@ -2,16 +2,24 @@
 
 Given periods (n_1, ..., n_k) with spectrum size l and lcm N, the table
 holds N rows of l integers. Row n stores the coordinates of the value at n
-of any map that decomposes as a sum of maps with these periods: the first
-l rows form an identity block, every later row is the fixed linear
-recurrence applied to its l predecessors, and arguments outside [0, N) wrap
-around through the least nonnegative residue mod N. The recurrence
-coefficients come from the characteristic polynomial by flipping the signs
-of everything below the leading term.
+of any map that decomposes as a sum of maps with these periods, and
+arguments outside [0, N) wrap around through the least nonnegative residue
+mod N. The recurrence coefficients come from the characteristic polynomial
+P by flipping the signs of everything below the leading term.
+
+Row n is the coordinate vector of x^n mod P in the basis 1, x, ...,
+x^(l-1). So the first l rows form an identity block, and each later row is
+the one before it multiplied by x and reduced mod P: shifted up one place,
+plus its top entry times the reversed recurrence. That shift costs O(l) a
+row; it fills the table, and it verifies a table loaded from JSON, row by
+row and across the wrap from row N-1 back to row 0. A single value needs
+only one row, x^(x mod N) mod P, which extrapolate computes by
+square-and-multiply (Fiduccia's method) when it is given the period system
+instead of a table.
 
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
-closure.
+closure. N is checked against the row cap before any other work.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cyclotomic import IntPolynomial, characteristic_poly
+from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
 from .groups import same_realization, scale, zero_like
 from .spectrum import (
     PeriodSystem,
@@ -138,51 +146,82 @@ def recurrence_coeffs(p: IntPolynomial) -> tuple[int, ...]:
     return tuple(-p.coeffs[l - j] for j in range(1, l + 1))
 
 
+def _checked_modulus(ps: PeriodSystem, max_rows: int) -> int:
+    """N = lcm(periods), or TableSizeError when N exceeds max_rows."""
+    n_rows = math.lcm(*ps.periods)
+    if n_rows > max_rows:
+        raise TableSizeError(f"table too large: {n_rows} rows exceed the cap of {max_rows}")
+    return n_rows
+
+
+def _identity_rows(l: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if c == r else 0 for c in range(l)) for r in range(l))
+
+
+def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
+    """The table row after row: x times its residue, reduced mod P.
+
+    tail is the recurrence reversed, (a_l, ..., a_1), the coordinates of
+    x^l mod P; the new row is (top*a_l, row[0] + top*a_(l-1), ...,
+    row[l-2] + top*a_1) with top = row[l-1].
+    """
+    top = row[-1]
+    shifted = (0,) + row
+    if not top:
+        return shifted[:-1]
+    return tuple([top * a + r for a, r in zip(tail, shifted)])
+
+
 def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> CoefficientTable:
     """Build the full reconstruction table for a period system.
 
-    Identity block on the first l rows, recurrence fill up to row N-1.
-    Raises TableSizeError when N exceeds max_rows; the default cap keeps a
-    runaway lcm from thrashing memory.
+    Identity block on the first l rows, then one O(l) shift per row up to
+    row N-1. Raises TableSizeError when N exceeds max_rows, before anything
+    else is computed; the default cap keeps a runaway lcm from thrashing
+    memory.
     """
+    n_rows = _checked_modulus(ps, max_rows)
     sp = build_spectrum(ps)
     coeffs = recurrence_coeffs(characteristic_poly(sp))
-    l = len(coeffs)
-    n_rows = sp.modulus
-    if n_rows > max_rows:
-        raise TableSizeError(f"table too large: {n_rows} rows exceed the cap of {max_rows}")
-    rows: list[tuple[int, ...]] = [
-        tuple(1 if c == r else 0 for c in range(l)) for r in range(l)
-    ]
-    for n in range(l, n_rows):
-        rows.append(
-            tuple(
-                sum(a * rows[n - j][r] for j, a in enumerate(coeffs, start=1))
-                for r in range(l)
-            )
-        )
+    tail = coeffs[::-1]
+    rows = list(_identity_rows(len(coeffs)))
+    for _ in range(len(rows), n_rows):
+        rows.append(_shift(rows[-1], tail))
     return CoefficientTable(sp, coeffs, tuple(rows), ps.periods)
 
 
-def extrapolate(table: CoefficientTable, initial, x: int):
+def _power_row(ps: PeriodSystem, x: int) -> tuple[int, tuple[int, ...]]:
+    """l, and the row for x without the table: the coefficients of
+    x^(x mod N) mod P, trailing zeros dropped. The row cap still applies."""
+    n_rows = _checked_modulus(ps, DEFAULT_MAX_ROWS)
+    charpoly = characteristic_poly(build_spectrum(ps))
+    return charpoly.degree, poly_powmod(X, x % n_rows, charpoly).coeffs
+
+
+def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     """Reconstruct the value at any integer x from l initial values.
 
-    initial is read as the values at 0, ..., l-1 of a map that is a sum of
-    periodic maps with the table's periods; the result then equals that
-    map's value at x, negative x included. Arbitrary initial vectors are
-    accepted, with the agreement promise only where such a sum exists.
+    source is a CoefficientTable, or a PeriodSystem, for which only the row
+    for x is computed (in O(l^2 log N), with no table built) and N is held
+    to the default row cap. initial is read as the values at 0, ..., l-1 of
+    a map that is a sum of periodic maps with the source's periods; the
+    result then equals that map's value at x, negative x included.
+    Arbitrary initial vectors are accepted, with the agreement promise only
+    where such a sum exists.
     """
+    if isinstance(source, PeriodSystem):
+        width, row = _power_row(source, x)
+    else:
+        width, row = source.width, source.row_for(x)
     initial = tuple(initial)
-    if len(initial) != table.width:
-        raise ValueError(
-            f"expected {table.width} initial values, got {len(initial)}"
-        )
+    if len(initial) != width:
+        raise ValueError(f"expected {width} initial values, got {len(initial)}")
     first = initial[0]
     for v in initial[1:]:
         if not same_realization(first, v):
             raise ValueError("mixed group realizations")
     acc = zero_like(first)
-    for c, g in zip(table.row_for(x), initial):
+    for c, g in zip(row, initial):
         if c:
             acc = acc + scale(g, c)
     return acc
@@ -206,6 +245,11 @@ def constancy_check(table: CoefficientTable, window) -> ConstancyResult:
     return ConstancyResult(True, first)
 
 
+def finewilf_window(m: int, n: int) -> int:
+    """m + n - gcd(m, n), the agreement window for periods m and n."""
+    return m + n - math.gcd(m, n)
+
+
 def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     """gcd of g - h over the two-period agreement window.
 
@@ -217,8 +261,7 @@ def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     for pm in (g, h):
         if not all(isinstance(v, int) for v in pm.values):
             raise ValueError("integer-valued maps required")
-    window = g.period + h.period - math.gcd(g.period, h.period)
-    return math.gcd(*(g(r) - h(r) for r in range(window)))
+    return math.gcd(*(g(r) - h(r) for r in range(finewilf_window(g.period, h.period))))
 
 
 def table_to_json_dict(table: CoefficientTable) -> dict:
@@ -237,7 +280,15 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
 
 
 def table_from_json_dict(doc: dict) -> CoefficientTable:
-    """Rebuild a table from its JSON document, checking basic consistency."""
+    """Rebuild a table from its JSON document, verifying it first.
+
+    Besides the shape, the fields must agree with each other: the charpoly
+    is the recurrence's, N is the lcm of the spectrum's denominators, the
+    first l rows are the identity block, each later row is the shift of the
+    row before it, the shift of row N-1 gives row 0 back, and the charpoly
+    is the characteristic polynomial of the denominators' closure. Any
+    failure raises ValueError.
+    """
     try:
         periods = tuple(int(s) for s in doc["periods"])
         n_rows = int(doc["N"])
@@ -259,5 +310,15 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
     closure = tuple(sorted({q.denominator for q in elements}))
     if math.lcm(*closure) != n_rows:
         raise ValueError("malformed table document: N is not the lcm of the denominators")
+    if rows[:width] != _identity_rows(width):
+        raise ValueError("malformed table document: the first l rows are not the identity block")
+    tail = recurrence[::-1]
+    for n in range(width, n_rows):
+        if rows[n] != _shift(rows[n - 1], tail):
+            raise ValueError(f"malformed table document: row {n} is not the shift of row {n - 1}")
+    if _shift(rows[-1], tail) != rows[0]:
+        raise ValueError("malformed table document: the shift of row N-1 is not row 0")
     sp = Spectrum(elements, n_rows, closure)
+    if IntPolynomial(charpoly) != characteristic_poly(sp):
+        raise ValueError("malformed table document: charpoly is not the spectrum's")
     return CoefficientTable(sp, recurrence, rows, periods)

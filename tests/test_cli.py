@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -137,6 +138,51 @@ def test_extrapolate_vec(capsys):
     )
     assert doc["group"] == "vec"
     assert doc["value"] == ["3", "4"]
+
+
+def test_extrapolate_vec_negative_entries(capsys):
+    # a value whose first entry is negative must not be read as an option
+    doc = run_json(
+        capsys, "extrapolate", "--periods", "2", "--initial", "-4,12,-18", "3,-4,5",
+        "--at", "7", "--vec", "3",
+    )
+    assert doc["initial"] == [["-4", "12", "-18"], ["3", "-4", "5"]]
+    assert doc["value"] == ["3", "-4", "5"]
+    doc = run_json(
+        capsys, "extrapolate", "--periods", "2", "--initial", "1,2", "-3,-4",
+        "--at", "-5", "--vec", "2",
+    )
+    assert doc["x"] == "-5"
+    assert doc["value"] == ["-3", "-4"]
+
+
+def test_extrapolate_negative_int_values(capsys):
+    doc = run_json(
+        capsys, "extrapolate", "--periods", "2", "3", "--initial", "-1", "0", "-2", "7",
+        "--at", "-5", "--int",
+    )
+    # psi(-5) = psi(1) for N = 6
+    assert doc["initial"] == ["-1", "0", "-2", "7"]
+    assert doc["value"] == "0"
+    doc = run_json(
+        capsys, "extrapolate", "--periods", "2", "3", "--initial", "-1", "0", "-2", "7",
+        "--at", "4", "--int",
+    )
+    # row 4 is (1, 1, 0, -1)
+    assert doc["value"] == "-8"
+
+
+def test_row_cap_exits_3_before_any_work(capsys):
+    for argv in (
+        ("coeffs", "999983", "1000003"),
+        ("extrapolate", "--periods", "999983", "1000003", "--initial", "1", "--at", "5"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "table too large" in err
 
 
 def test_extrapolate_wrong_count(capsys):

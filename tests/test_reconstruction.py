@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from persum.cyclotomic import IntPolynomial, characteristic_poly
+import persum.reconstruction
+from persum.cyclotomic import IntPolynomial, characteristic_poly, cyclotomic_poly
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
     CoefficientTable,
@@ -158,6 +159,47 @@ def test_table_invariants_random():
             assert sum(row) == 1
 
 
+def predecessor_sum_rows(recurrence, n_rows):
+    """The O(l^2)-per-row fill: every cell summed over its l predecessors."""
+    l = len(recurrence)
+    rows = [tuple(1 if c == r else 0 for c in range(l)) for r in range(l)]
+    for n in range(l, n_rows):
+        rows.append(
+            tuple(
+                sum(a * rows[n - j][r] for j, a in enumerate(recurrence, start=1))
+                for r in range(l)
+            )
+        )
+    return tuple(rows)
+
+
+def test_shift_fill_matches_predecessor_sum_oracle():
+    # N <= 360 keeps the oracle's O(N l^2) cost under a second in total
+    rng = random.Random(51)
+    checked = 0
+    while checked < 100:
+        periods = tuple(rng.randint(1, 60) for _ in range(rng.randint(1, 3)))
+        if math.lcm(*periods) > 360:
+            continue
+        t = coefficient_table(PeriodSystem(periods))
+        assert t.rows == predecessor_sum_rows(t.recurrence, t.modulus), periods
+        checked += 1
+
+
+def test_table_size_cap_checked_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a spectrum past the row cap")
+
+    monkeypatch.setattr(persum.reconstruction, "build_spectrum", refuse)
+    huge = PeriodSystem((999983, 1000003))
+    with pytest.raises(TableSizeError):
+        coefficient_table(huge)
+    with pytest.raises(TableSizeError):
+        extrapolate(huge, (1,), 5)
+    with pytest.raises(TableSizeError):
+        coefficient_table(PeriodSystem((2, 3)), max_rows=5)
+
+
 def test_table_recurrence_matches_characteristic_poly():
     rng = random.Random(42)
     for _ in range(40):
@@ -211,6 +253,44 @@ def test_extrapolate_errors():
         extrapolate(t, (1, 2, 3), 0)
     with pytest.raises(ValueError):
         extrapolate(t, (1, 2, 3, ModInt(1, 5)), 0)
+
+
+def test_extrapolate_from_period_system_reads_the_table_row():
+    rng = random.Random(48)
+    for _ in range(40):
+        ps = PeriodSystem(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
+        t = coefficient_table(ps)
+        for _ in range(5):
+            initial = [rng.randint(-9, 9) for _ in range(t.width)]
+            x = rng.randint(-3 * t.modulus, 3 * t.modulus)
+            assert extrapolate(ps, initial, x) == extrapolate(t, initial, x)
+    with pytest.raises(ValueError):
+        extrapolate(PeriodSystem((2, 3)), (1, 2, 3), 0)
+    with pytest.raises(ValueError):
+        extrapolate(PeriodSystem((2, 3)), (1, 2, 3, ModInt(1, 5)), 0)
+
+
+@pytest.mark.parametrize(
+    "make_value",
+    [
+        lambda r, m, dim: r.randint(-10**6, 10**6),
+        lambda r, m, dim: ModInt(r.randint(0, m - 1), m),
+        lambda r, m, dim: IntVector(tuple(r.randint(-99, 99) for _ in range(dim))),
+    ],
+    ids=["int", "mod", "vec"],
+)
+def test_extrapolate_from_period_system_matches_brute_force(make_value):
+    rng = random.Random(49)
+    for _ in range(30):
+        periods = tuple(rng.randint(1, 60) for _ in range(rng.randint(1, 3)))
+        m, dim = rng.randint(2, 10**9), rng.randint(1, 3)
+        psi = random_sum(rng, periods, lambda r: make_value(r, m, dim))
+        ps = PeriodSystem(periods)
+        width = len(build_spectrum(ps))
+        initial = [psi(r) for r in range(width)]
+        for _ in range(4):
+            x = rng.randint(-10**18, 10**18)
+            assert extrapolate(ps, initial, x) == psi(x), (periods, x)
 
 
 def test_reconstruction_identity_integers():
@@ -386,3 +466,53 @@ def test_json_rejects_malformed_documents():
     broken["rows"] = good["rows"][:-1]
     with pytest.raises(ValueError):
         table_from_json_dict(broken)
+
+
+def test_json_rejects_a_corrupt_identity_entry():
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+    doc["rows"][1] = ["0", "1", "0", "1"]
+    with pytest.raises(ValueError, match="identity block"):
+        table_from_json_dict(doc)
+
+
+def test_json_rejects_a_corrupt_recurrence_row():
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
+    doc["rows"][9][2] = str(int(doc["rows"][9][2]) + 1)
+    with pytest.raises(ValueError, match="row 9 is not the shift of row 8"):
+        table_from_json_dict(doc)
+    # the last row is checked against the wrap as well as its predecessor
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
+    doc["rows"][-1][0] = str(int(doc["rows"][-1][0]) - 1)
+    with pytest.raises(ValueError, match="row 11 is not the shift"):
+        table_from_json_dict(doc)
+
+
+def consistent_document(base, charpoly):
+    """base with its charpoly replaced and its rows refilled from it, so the
+    identity block and every shift agree with the new recurrence."""
+    doc = table_to_json_dict(base)
+    recurrence = recurrence_coeffs(charpoly)
+    rows = [[int(c == r) for c in range(len(recurrence))] for r in range(len(recurrence))]
+    while len(rows) < base.modulus:
+        top, prev = rows[-1][-1], [0] + rows[-1]
+        rows.append([top * a + r for a, r in zip(recurrence[::-1], prev)])
+    doc["charpoly"] = [str(c) for c in charpoly.coeffs]
+    doc["recurrence"] = [str(a) for a in recurrence]
+    doc["rows"] = [[str(c) for c in row] for row in rows]
+    return doc
+
+
+def test_json_rejects_a_broken_wrap_around():
+    # x^4 - 1 does not divide x^6 - 1, so row 5 does not shift back to row 0
+    doc = consistent_document(coefficient_table(PeriodSystem((2, 3))), IntPolynomial((-1, 0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="row N-1 is not row 0"):
+        table_from_json_dict(doc)
+
+
+def test_json_rejects_a_charpoly_of_another_spectrum():
+    # Phi_1 Phi_2 Phi_6 divides x^6 - 1 like the charpoly of (2, 3), so
+    # every row and the wrap agree, but it belongs to the closure {1, 2, 6}
+    other = cyclotomic_poly(1) * cyclotomic_poly(2) * cyclotomic_poly(6)
+    doc = consistent_document(coefficient_table(PeriodSystem((2, 3))), other)
+    with pytest.raises(ValueError, match="not the spectrum's"):
+        table_from_json_dict(doc)
