@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -163,11 +164,10 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_charpoly(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
-    sp = build_spectrum(ps)
-    poly = characteristic_poly(sp)
+    poly = characteristic_poly(ps)
     return {
         "periods": [str(n) for n in ps.periods],
-        "divisor_closure": [str(d) for d in sp.divisor_closure],
+        "divisor_closure": [str(d) for d in ps.divisor_closure],
         "degree": str(poly.degree),
         "charpoly": [str(c) for c in poly.coeffs],
     }
@@ -307,8 +307,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if doc is not None:
-        print(json.dumps(doc, indent=2))
+    try:
+        if doc is not None:
+            print(json.dumps(doc, indent=2), flush=True)
+    except BrokenPipeError:
+        # reader gone: exit 2 as for an unwritable --out; devnull quiets the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0
 
 

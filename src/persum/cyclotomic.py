@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numth import check_positive, divisors, gcd_exponents
-from .spectrum import Spectrum
+from .spectrum import PeriodSystem
 
 # Below this many coefficients on either side, schoolbook convolution beats
 # the packing overhead of Kronecker substitution.
@@ -218,14 +218,14 @@ def cyclotomic_poly(d: int) -> IntPolynomial:
     return _binomial_product(exps)
 
 
-def characteristic_poly(sp: Spectrum) -> IntPolynomial:
-    """Product of the cyclotomic polynomials over the divisor closure.
+def characteristic_poly(ps: PeriodSystem) -> IntPolynomial:
+    """The lcm of the x^(n_s) - 1 over the periods n_s, which is the product
+    of the cyclotomic polynomials over the divisor closure.
 
-    That product is the lcm of the x^d - 1 over the closure. Monic with
-    integer coefficients; its degree equals the spectrum size, and it
-    divides x^N - 1 exactly for N = sp.modulus.
+    Monic with integer coefficients; its degree equals the spectrum size,
+    and it divides x^N - 1 exactly for N = lcm(periods).
     """
-    return _binomial_product(gcd_exponents(sp.divisor_closure))
+    return _binomial_product(gcd_exponents(ps.periods))
 
 
 def poly_powmod(base: IntPolynomial, exponent: int, modulus: IntPolynomial) -> IntPolynomial:

@@ -44,6 +44,11 @@ class TableSizeError(ValueError):
     """The requested table would exceed the row cap."""
 
 
+def _check_one_group(values) -> None:
+    if not all(same_realization(values[0], v) for v in values[1:]):
+        raise ValueError("mixed group realizations")
+
+
 @dataclass(frozen=True)
 class PeriodicMap:
     """A map from Z to a group, given by its values at 0, ..., period-1."""
@@ -54,10 +59,7 @@ class PeriodicMap:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a periodic map needs at least one value")
-        first = self.values[0]
-        for v in self.values[1:]:
-            if not same_realization(first, v):
-                raise ValueError("mixed group realizations")
+        _check_one_group(self.values)
 
     @property
     def period(self) -> int:
@@ -77,10 +79,7 @@ class SumOfPeriodicMaps:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("empty component list")
-        first = self.components[0].values[0]
-        for comp in self.components[1:]:
-            if not same_realization(first, comp.values[0]):
-                raise ValueError("mixed group realizations")
+        _check_one_group([comp.values[0] for comp in self.components])
 
     @property
     def period_system(self) -> PeriodSystem:
@@ -182,7 +181,7 @@ def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> Coe
     """
     n_rows = _checked_modulus(ps, max_rows)
     sp = build_spectrum(ps)
-    coeffs = recurrence_coeffs(characteristic_poly(sp))
+    coeffs = recurrence_coeffs(characteristic_poly(ps))
     tail = coeffs[::-1]
     rows = list(_identity_rows(len(coeffs)))
     for _ in range(len(rows), n_rows):
@@ -194,7 +193,7 @@ def _power_row(ps: PeriodSystem, x: int) -> tuple[int, tuple[int, ...]]:
     """l, and the row for x without the table: the coefficients of
     x^(x mod N) mod P, trailing zeros dropped. The row cap still applies."""
     n_rows = _checked_modulus(ps, DEFAULT_MAX_ROWS)
-    charpoly = characteristic_poly(build_spectrum(ps))
+    charpoly = characteristic_poly(ps)
     return charpoly.degree, poly_powmod(X, x % n_rows, charpoly).coeffs
 
 
@@ -216,11 +215,8 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     initial = tuple(initial)
     if len(initial) != width:
         raise ValueError(f"expected {width} initial values, got {len(initial)}")
-    first = initial[0]
-    for v in initial[1:]:
-        if not same_realization(first, v):
-            raise ValueError("mixed group realizations")
-    acc = zero_like(first)
+    _check_one_group(initial)
+    acc = zero_like(initial[0])
     for c, g in zip(row, initial):
         if c:
             acc = acc + scale(g, c)
@@ -282,12 +278,12 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
 def table_from_json_dict(doc: dict) -> CoefficientTable:
     """Rebuild a table from its JSON document, verifying it first.
 
-    Besides the shape, the fields must agree with each other: the charpoly
-    is the recurrence's, N is the lcm of the spectrum's denominators, the
-    first l rows are the identity block, each later row is the shift of the
-    row before it, the shift of row N-1 gives row 0 back, and the charpoly
-    is the characteristic polynomial of the denominators' closure. Any
-    failure raises ValueError.
+    Besides the shape, the fields must agree: the charpoly is the recurrence's,
+    N is the lcm of the spectrum's denominators (checked before the spectrum
+    is rebuilt from them, which it must equal), the first l rows are the
+    identity block, each later row is the shift of the one before it, the
+    shift of row N-1 is row 0, and the charpoly is the denominators'
+    characteristic polynomial. Any failure raises ValueError.
     """
     try:
         periods = tuple(int(s) for s in doc["periods"])
@@ -307,9 +303,9 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
         raise ValueError("malformed table document: row shape mismatch")
     if charpoly != [-a for a in reversed(recurrence)] + [1]:
         raise ValueError("malformed table document: charpoly and recurrence disagree")
-    closure = tuple(sorted({q.denominator for q in elements}))
-    if math.lcm(*closure) != n_rows:
-        raise ValueError("malformed table document: N is not the lcm of the denominators")
+    ps = PeriodSystem(tuple({q.denominator for q in elements}))
+    if math.lcm(*ps.periods) != n_rows or (sp := build_spectrum(ps)).elements != elements:
+        raise ValueError("malformed table document: spectrum or N disagrees with its denominators")
     if rows[:width] != _identity_rows(width):
         raise ValueError("malformed table document: the first l rows are not the identity block")
     tail = recurrence[::-1]
@@ -318,7 +314,6 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
             raise ValueError(f"malformed table document: row {n} is not the shift of row {n - 1}")
     if _shift(rows[-1], tail) != rows[0]:
         raise ValueError("malformed table document: the shift of row N-1 is not row 0")
-    sp = Spectrum(elements, n_rows, closure)
-    if IntPolynomial(charpoly) != characteristic_poly(sp):
+    if IntPolynomial(charpoly) != characteristic_poly(ps):
         raise ValueError("malformed table document: charpoly is not the spectrum's")
     return CoefficientTable(sp, recurrence, rows, periods)

@@ -31,15 +31,19 @@ class PeriodSystem:
     def __len__(self) -> int:
         return len(self.periods)
 
+    @property
+    def divisor_closure(self) -> tuple[int, ...]:
+        """Every positive integer dividing at least one period, ascending."""
+        return tuple(sorted({d for n in self.periods for d in divisors(n)}))
+
 
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending reduced fractions with their common structure.
 
     modulus is the lcm N of the periods, which is also the least common
-    denominator of the elements. divisor_closure lists every positive
-    integer dividing at least one period; it equals the set of denominators
-    that actually occur among the elements.
+    denominator of the elements. divisor_closure is the period system's; it
+    equals the set of denominators that actually occur among the elements.
     """
 
     elements: tuple[Fraction, ...]
@@ -53,14 +57,12 @@ class Spectrum:
 def build_spectrum(ps: PeriodSystem) -> Spectrum:
     """Collect the distinct reduced values r/n_s over all periods, ascending."""
     values = {Fraction(r, n) for n in ps.periods for r in range(n)}
-    closure = sorted({d for n in ps.periods for d in divisors(n)})
-    return Spectrum(tuple(sorted(values)), lcm_all(ps.periods), tuple(closure))
+    return Spectrum(tuple(sorted(values)), lcm_all(ps.periods), ps.divisor_closure)
 
 
 def size_by_phi(ps: PeriodSystem) -> int:
     """Spectrum size as the totient sum over the divisor closure."""
-    closure = {d for n in ps.periods for d in divisors(n)}
-    return sum(euler_phi(d) for d in closure)
+    return sum(euler_phi(d) for d in ps.divisor_closure)
 
 
 def size_by_inclusion_exclusion(ps: PeriodSystem) -> int:

@@ -72,7 +72,7 @@ def test_criterion_02_characteristic_polynomial():
         direct_checked = 0
         for ps in batch_500_systems():
             sp = build_spectrum(ps)
-            p = characteristic_poly(sp)
+            p = characteristic_poly(ps)
             assert p.is_monic()
             assert p.degree == len(sp)
             # (x^N - 1) mod p == 0, via modular exponentiation
@@ -121,7 +121,7 @@ def test_criterion_04_table_structure():
             ps = PeriodSystem(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4))))
             t = coefficient_table(ps)
             l, N = t.width, t.modulus
-            expect_recurrence = recurrence_coeffs(characteristic_poly(build_spectrum(ps)))
+            expect_recurrence = recurrence_coeffs(characteristic_poly(ps))
             assert t.recurrence == expect_recurrence
             for n in range(min(l, N)):
                 assert t.rows[n] == tuple(1 if c == n else 0 for c in range(l))

@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import persum
+import persum.cli
+import persum.reconstruction
 from persum.cli import main
 from persum.reconstruction import (
     coefficient_table,
@@ -76,6 +82,25 @@ def test_charpoly_2_3(capsys):
     assert doc["degree"] == "4"
     assert doc["charpoly"] == ["-1", "-1", "0", "1", "1"]
     assert doc["divisor_closure"] == ["1", "2", "3"]
+
+
+CHARPOLY_4_6 = {
+    "periods": ["4", "6"],
+    "divisor_closure": ["1", "2", "3", "4", "6"],
+    "degree": "8",
+    "charpoly": ["-1", "0", "-1", "0", "0", "0", "1", "0", "1"],
+}
+
+
+def test_charpoly_builds_no_fractions(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a spectrum for charpoly")
+
+    monkeypatch.setattr(persum.cli, "build_spectrum", refuse)
+    monkeypatch.setattr(persum.reconstruction, "build_spectrum", refuse)
+    code, out, err = run(capsys, "charpoly", "4", "6")
+    assert code == 0, err
+    assert out == json.dumps(CHARPOLY_4_6, indent=2) + "\n"
 
 
 def test_coeffs_2_3_matches_library(capsys):
@@ -170,6 +195,24 @@ def test_extrapolate_negative_int_values(capsys):
     )
     # row 4 is (1, 1, 0, -1)
     assert doc["value"] == "-8"
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the (60, 84) table is about 620 KB, far more than a pipe buffers
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "persum", "coeffs", "60", "84"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_row_cap_exits_3_before_any_work(capsys):

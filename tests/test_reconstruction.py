@@ -205,7 +205,7 @@ def test_table_recurrence_matches_characteristic_poly():
     for _ in range(40):
         ps = PeriodSystem(tuple(rng.randint(1, 10) for _ in range(rng.randint(1, 3))))
         t = coefficient_table(ps)
-        p = characteristic_poly(build_spectrum(ps))
+        p = characteristic_poly(ps)
         assert t.recurrence == recurrence_coeffs(p)
 
 
@@ -268,6 +268,17 @@ def test_extrapolate_from_period_system_reads_the_table_row():
         extrapolate(PeriodSystem((2, 3)), (1, 2, 3), 0)
     with pytest.raises(ValueError):
         extrapolate(PeriodSystem((2, 3)), (1, 2, 3, ModInt(1, 5)), 0)
+
+
+def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a spectrum to answer one row")
+
+    psi = SumOfPeriodicMaps((PeriodicMap((5, -2)), PeriodicMap((1, 7, -3))))
+    initial = [psi(r) for r in range(4)]
+    monkeypatch.setattr(persum.reconstruction, "build_spectrum", refuse)
+    for x in (-10**12 - 1, -7, 0, 5, 6, 10**18 + 5):
+        assert extrapolate(PeriodSystem((2, 3)), initial, x) == psi(x)
 
 
 @pytest.mark.parametrize(
@@ -515,4 +526,33 @@ def test_json_rejects_a_charpoly_of_another_spectrum():
     other = cyclotomic_poly(1) * cyclotomic_poly(2) * cyclotomic_poly(6)
     doc = consistent_document(coefficient_table(PeriodSystem((2, 3))), other)
     with pytest.raises(ValueError, match="not the spectrum's"):
+        table_from_json_dict(doc)
+
+
+def test_json_rejects_a_spectrum_with_a_repeated_fraction():
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2,))))
+    doc["spectrum"] = ["1/2", "1/2"]
+    with pytest.raises(ValueError, match="spectrum or N disagrees"):
+        table_from_json_dict(doc)
+
+
+def test_json_rejects_a_spectrum_missing_a_fraction():
+    # 0/1 dropped and 5/6 doubled: same length, same denominators' lcm
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
+    assert doc["spectrum"][0] == "0/1" and doc["spectrum"][-1] == "5/6"
+    doc["spectrum"] = doc["spectrum"][1:] + ["5/6"]
+    with pytest.raises(ValueError, match="spectrum or N disagrees"):
+        table_from_json_dict(doc)
+
+
+def test_json_checks_N_before_enumerating_the_denominators(monkeypatch):
+    # enumerating the spectrum of a denominator of 10^12 would not finish,
+    # so N is compared with the denominators' lcm first
+    def refuse(*args):
+        raise AssertionError("enumerated the spectrum of a denominator beyond N")
+
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2,))))
+    doc["spectrum"] = ["0/1", f"1/{10**12}"]
+    monkeypatch.setattr(persum.reconstruction, "build_spectrum", refuse)
+    with pytest.raises(ValueError, match="spectrum or N disagrees"):
         table_from_json_dict(doc)

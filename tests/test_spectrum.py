@@ -101,6 +101,19 @@ def test_spectrum_elements_are_reduced_and_sorted():
         assert list(sp.elements) == sorted(sp.elements)
 
 
+def test_period_system_divisor_closure_matches_brute_force():
+    rng = random.Random(19)
+    for _ in range(200):
+        ps = random_system(rng, max_k=4, max_n=60)
+        expect = [d for d in range(1, max(ps.periods) + 1) if any(n % d == 0 for n in ps.periods)]
+        assert ps.divisor_closure == tuple(expect)
+        # the closure ignores the order of the periods and repeats among them
+        shuffled = list(ps.periods) + [rng.choice(ps.periods)]
+        rng.shuffle(shuffled)
+        assert PeriodSystem(tuple(shuffled)).divisor_closure == tuple(expect)
+        assert build_spectrum(ps).divisor_closure == tuple(expect)
+
+
 def test_divisor_closure_is_closed_under_divisors():
     rng = random.Random(13)
     for _ in range(100):
