@@ -153,8 +153,8 @@ def cmd_spectrum(args) -> dict:
     return {
         "periods": [str(n) for n in ps.periods],
         "elements": [fraction_str(q) for q in sp.elements],
-        "modulus": str(sp.modulus),
-        "divisor_closure": [str(d) for d in sp.divisor_closure],
+        "modulus": str(ps.modulus),
+        "divisor_closure": [str(d) for d in ps.divisor_closure],
         "size_enumerated": str(sizes[0]),
         "size_phi": str(sizes[1]),
         "size_inclusion_exclusion": str(sizes[2]),

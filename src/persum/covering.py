@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .numth import check_positive
 from .reconstruction import PeriodicMap
-from .spectrum import PeriodSystem, size_by_phi
+from .spectrum import PeriodSystem, _json_int, size_by_phi
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def parse_residue_system(text: str) -> ResidueSystem:
 def _parse_json_system(text: str) -> ResidueSystem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"bad JSON residue system: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ValueError("JSON residue system must be a nonempty array of [a, n] pairs")
@@ -184,13 +184,3 @@ def _parse_json_system(text: str) -> ResidueSystem:
             raise ValueError(f"entry {i}: modulus must be positive, got {modulus}")
         classes.append(ResidueClass(residue, modulus))
     return ResidueSystem(tuple(classes))
-
-
-def _json_int(value) -> int:
-    # ints may arrive as JSON numbers or as decimal strings; floats and
-    # booleans are not integers and must not sneak through int()
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return int(value)
-    raise ValueError(f"not an integer: {value!r}")

@@ -31,7 +31,7 @@ from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
 from .groups import same_realization, scale, zero_like
 from .spectrum import (
     PeriodSystem,
-    Spectrum,
+    _json_int,
     build_spectrum,
     fraction_str,
     parse_fraction,
@@ -97,15 +97,18 @@ class CoefficientTable:
     """The N x l reconstruction table for one spectrum.
 
     rows[n][r] is the integer weight of the r-th initial value in the
-    reconstructed value at n. periods records which period list the table
-    was requested for; it is provenance only and excluded from equality,
-    since equal divisor closures give identical tables.
+    reconstructed value at n. system is the period system the table was
+    requested for; it is excluded from equality, since the recurrence fixes
+    the divisor closure and equal closures give identical tables.
     """
 
-    spectrum: Spectrum
+    system: PeriodSystem = field(compare=False)
     recurrence: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-    periods: tuple[int, ...] = field(compare=False, default=())
+
+    @property
+    def periods(self) -> tuple[int, ...]:
+        return self.system.periods
 
     @property
     def width(self) -> int:
@@ -115,7 +118,7 @@ class CoefficientTable:
     @property
     def modulus(self) -> int:
         """N, the number of rows and the period of every column."""
-        return self.spectrum.modulus
+        return len(self.rows)
 
     def row_for(self, x: int) -> tuple[int, ...]:
         """The row at the least nonnegative residue of x mod N."""
@@ -147,7 +150,7 @@ def recurrence_coeffs(p: IntPolynomial) -> tuple[int, ...]:
 
 def _checked_modulus(ps: PeriodSystem, max_rows: int) -> int:
     """N = lcm(periods), or TableSizeError when N exceeds max_rows."""
-    n_rows = math.lcm(*ps.periods)
+    n_rows = ps.modulus
     if n_rows > max_rows:
         raise TableSizeError(f"table too large: {n_rows} rows exceed the cap of {max_rows}")
     return n_rows
@@ -180,13 +183,12 @@ def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> Coe
     memory.
     """
     n_rows = _checked_modulus(ps, max_rows)
-    sp = build_spectrum(ps)
     coeffs = recurrence_coeffs(characteristic_poly(ps))
     tail = coeffs[::-1]
     rows = list(_identity_rows(len(coeffs)))
     for _ in range(len(rows), n_rows):
         rows.append(_shift(rows[-1], tail))
-    return CoefficientTable(sp, coeffs, tuple(rows), ps.periods)
+    return CoefficientTable(ps, coeffs, tuple(rows))
 
 
 def _power_row(ps: PeriodSystem, x: int) -> tuple[int, tuple[int, ...]]:
@@ -268,7 +270,7 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
         "periods": [str(n) for n in table.periods],
         "N": str(table.modulus),
         "l": str(table.width),
-        "spectrum": [fraction_str(q) for q in table.spectrum.elements],
+        "spectrum": [fraction_str(q) for q in build_spectrum(table.system).elements],
         "charpoly": [str(c) for c in charpoly],
         "recurrence": [str(a) for a in recurrence],
         "rows": [[str(c) for c in row] for row in table.rows],
@@ -278,34 +280,32 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
 def table_from_json_dict(doc: dict) -> CoefficientTable:
     """Rebuild a table from its JSON document, verifying it first.
 
-    Besides the shape, the fields must agree: the charpoly is the recurrence's,
-    N is the lcm of the spectrum's denominators (checked before the spectrum
-    is rebuilt from them, which it must equal), the first l rows are the
-    identity block, each later row is the shift of the one before it, the
-    shift of row N-1 is row 0, and the charpoly is the denominators'
-    characteristic polynomial. Any failure raises ValueError.
+    Integers are JSON ints or decimal strings. The fields must agree: the
+    charpoly is the recurrence's, N is the lcm of the periods (checked before
+    anything is enumerated), the spectrum is every reduced fraction over the
+    periods' divisor closure, the first l rows are the identity block, each
+    later row is the shift of the one before it, the shift of row N-1 is row
+    0, and the charpoly is the periods'. Any failure raises ValueError.
     """
     try:
-        periods = tuple(int(s) for s in doc["periods"])
-        n_rows = int(doc["N"])
-        width = int(doc["l"])
+        ps = PeriodSystem(tuple(_json_int(s) for s in doc["periods"]))
+        n_rows = _json_int(doc["N"])
+        width = _json_int(doc["l"])
         elements = tuple(parse_fraction(s) for s in doc["spectrum"])
-        charpoly = [int(s) for s in doc["charpoly"]]
-        recurrence = tuple(int(s) for s in doc["recurrence"])
-        rows = tuple(tuple(int(s) for s in row) for row in doc["rows"])
+        charpoly = [_json_int(s) for s in doc["charpoly"]]
+        recurrence = tuple(_json_int(s) for s in doc["recurrence"])
+        rows = tuple(tuple(_json_int(s) for s in row) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed table document: {exc}") from exc
-    if width < 1:
-        raise ValueError("malformed table document: width must be positive")
     if len(recurrence) != width or len(elements) != width:
         raise ValueError("malformed table document: width fields disagree")
     if len(rows) != n_rows or any(len(row) != width for row in rows):
         raise ValueError("malformed table document: row shape mismatch")
     if charpoly != [-a for a in reversed(recurrence)] + [1]:
         raise ValueError("malformed table document: charpoly and recurrence disagree")
-    ps = PeriodSystem(tuple({q.denominator for q in elements}))
-    if math.lcm(*ps.periods) != n_rows or (sp := build_spectrum(ps)).elements != elements:
-        raise ValueError("malformed table document: spectrum or N disagrees with its denominators")
+    if (ps.modulus != n_rows or set(ps.divisor_closure) != {q.denominator for q in elements}
+            or build_spectrum(ps).elements != elements):
+        raise ValueError("malformed table document: spectrum or N disagrees with the periods")
     if rows[:width] != _identity_rows(width):
         raise ValueError("malformed table document: the first l rows are not the identity block")
     tail = recurrence[::-1]
@@ -316,4 +316,4 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
         raise ValueError("malformed table document: the shift of row N-1 is not row 0")
     if IntPolynomial(charpoly) != characteristic_poly(ps):
         raise ValueError("malformed table document: charpoly is not the spectrum's")
-    return CoefficientTable(sp, recurrence, rows, periods)
+    return CoefficientTable(ps, recurrence, rows)

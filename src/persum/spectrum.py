@@ -32,6 +32,11 @@ class PeriodSystem:
         return len(self.periods)
 
     @property
+    def modulus(self) -> int:
+        """N, the lcm of the periods and the spectrum's least common denominator."""
+        return lcm_all(self.periods)
+
+    @property
     def divisor_closure(self) -> tuple[int, ...]:
         """Every positive integer dividing at least one period, ascending."""
         return tuple(sorted({d for n in self.periods for d in divisors(n)}))
@@ -39,25 +44,20 @@ class PeriodSystem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending reduced fractions with their common structure.
-
-    modulus is the lcm N of the periods, which is also the least common
-    denominator of the elements. divisor_closure is the period system's; it
-    equals the set of denominators that actually occur among the elements.
-    """
+    """Ascending reduced fractions, with the divisor closure as denominators."""
 
     elements: tuple[Fraction, ...]
-    modulus: int
-    divisor_closure: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
 def build_spectrum(ps: PeriodSystem) -> Spectrum:
-    """Collect the distinct reduced values r/n_s over all periods, ascending."""
-    values = {Fraction(r, n) for n in ps.periods for r in range(n)}
-    return Spectrum(tuple(sorted(values)), lcm_all(ps.periods), ps.divisor_closure)
+    """The distinct reduced values r/n_s over all periods, ascending; merged and
+    sorted as the int numerators r*(N/n_s) over N, then made Fractions once."""
+    n = ps.modulus
+    numerators = sorted({r * (n // m) for m in ps.periods for r in range(m)})
+    return Spectrum(tuple(Fraction(a, n) for a in numerators))
 
 
 def size_by_phi(ps: PeriodSystem) -> int:
@@ -76,8 +76,20 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _json_int(value) -> int:
+    # ints may arrive as JSON numbers or as decimal strings; floats and
+    # booleans are not integers and must not sneak through int()
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def parse_fraction(text: str) -> Fraction:
     """Inverse of fraction_str."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected num/den, got {text!r}")
     num, sep, den = text.partition("/")
     if not sep or "/" in den:
         raise ValueError(f"expected num/den, got {text!r}")

@@ -76,12 +76,12 @@ def test_criterion_02_characteristic_polynomial():
             assert p.is_monic()
             assert p.degree == len(sp)
             # (x^N - 1) mod p == 0, via modular exponentiation
-            assert poly_powmod(X, sp.modulus, p) == ONE
+            assert poly_powmod(X, ps.modulus, p) == ONE
             # second route on small moduli: direct long division
-            if sp.modulus <= 1000:
-                quot, rem = x_power_minus_one(sp.modulus).divmod_exact(p)
+            if ps.modulus <= 1000:
+                quot, rem = x_power_minus_one(ps.modulus).divmod_exact(p)
                 assert rem.is_zero()
-                assert quot * p == x_power_minus_one(sp.modulus)
+                assert quot * p == x_power_minus_one(ps.modulus)
                 direct_checked += 1
         assert direct_checked > 100
 

@@ -269,6 +269,9 @@ def test_parse_json_errors():
         parse_residue_system("[[0, 0]]")
     with pytest.raises(ValueError):
         parse_residue_system('[[true, 2]]')
+    # nesting too deep for the JSON decoder
+    with pytest.raises(ValueError, match="bad JSON"):
+        parse_residue_system("[" * 100_000)
 
 
 def test_parse_round_trip_through_str():

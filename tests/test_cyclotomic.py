@@ -289,10 +289,10 @@ def test_characteristic_poly_roots_are_spectrum_values():
     ps = PeriodSystem((4, 6))
     sp = build_spectrum(ps)
     p = characteristic_poly(ps)
-    for num in range(sp.modulus):
-        z = cmath.exp(2j * cmath.pi * num / sp.modulus)
+    for num in range(ps.modulus):
+        z = cmath.exp(2j * cmath.pi * num / ps.modulus)
         val = sum(c * z**i for i, c in enumerate(p.coeffs))
-        is_root = Fraction(num, sp.modulus) in sp.elements
+        is_root = Fraction(num, ps.modulus) in sp.elements
         assert (abs(val) < 1e-9) == is_root
 
 

@@ -281,6 +281,21 @@ def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
         assert extrapolate(PeriodSystem((2, 3)), initial, x) == psi(x)
 
 
+def test_table_fill_and_lookup_build_no_fractions(monkeypatch):
+    # only the JSON writer and loader need the spectrum's fractions
+    def refuse(*args):
+        raise AssertionError("built a spectrum for a table fill or a row lookup")
+
+    psi = SumOfPeriodicMaps((PeriodicMap((5, -2)), PeriodicMap((1, 7, -3))))
+    initial = [psi(r) for r in range(4)]
+    monkeypatch.setattr(persum.reconstruction, "build_spectrum", refuse)
+    t = coefficient_table(PeriodSystem((2, 3)))
+    assert t.rows == TABLE_2_3_ROWS
+    assert (t.modulus, t.width, t.periods) == (6, 4, (2, 3))
+    for x in (-10**12 - 1, -7, 0, 5, 6, 10**18 + 5):
+        assert extrapolate(t, initial, x) == psi(x)
+
+
 @pytest.mark.parametrize(
     "make_value",
     [
@@ -477,6 +492,64 @@ def test_json_rejects_malformed_documents():
     broken["rows"] = good["rows"][:-1]
     with pytest.raises(ValueError):
         table_from_json_dict(broken)
+
+    # a width of 0 with every field consistent with it
+    broken = dict(good, l="0", spectrum=[], charpoly=["1"], recurrence=[], rows=[[]] * 6)
+    with pytest.raises(ValueError):
+        table_from_json_dict(broken)
+
+
+@pytest.mark.parametrize(
+    "periods, message",
+    [
+        (["7"], "spectrum or N disagrees"),
+        ([], "malformed table document"),
+        (["-5", "0"], "malformed table document"),
+        ([True], "malformed table document"),
+        (["6"], "spectrum or N disagrees"),
+    ],
+    ids=["other-N", "empty", "nonpositive", "bool", "same-N-other-closure"],
+)
+def test_json_rejects_periods_that_are_not_the_tables(periods, message):
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+    doc["periods"] = periods
+    with pytest.raises(ValueError, match=message):
+        table_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(N=6.9),
+        lambda doc: doc.update(l=4.2),
+        lambda doc: doc.update(periods=[2.5, 3.99]),
+        lambda doc: doc["spectrum"].__setitem__(0, 0),
+        lambda doc: doc["spectrum"].__setitem__(0, None),
+        lambda doc: doc["charpoly"].__setitem__(-1, True),
+        lambda doc: doc["rows"][1].__setitem__(1, 1.0),
+    ],
+    ids=["float-N", "float-l", "float-periods", "int-fraction", "null-fraction", "bool-coeff",
+         "float-cell"],
+)
+def test_json_takes_integers_strictly(mutate):
+    # each number would pass for the one it replaces if floats were
+    # truncated and bools read as ints; a fraction that is not a string
+    # must fail as malformed, not with an AttributeError
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+    mutate(doc)
+    with pytest.raises(ValueError, match="malformed table document"):
+        table_from_json_dict(doc)
+
+
+def test_json_takes_integers_as_json_numbers():
+    def as_numbers(value):
+        return [as_numbers(v) for v in value] if isinstance(value, list) else int(value)
+
+    t = coefficient_table(PeriodSystem((2, 3)))
+    doc = {key: value if key == "spectrum" else as_numbers(value)
+           for key, value in table_to_json_dict(t).items()}
+    assert doc["N"] == 6 and doc["rows"][4] == [1, 1, 0, -1]
+    assert table_from_json_dict(doc) == t
 
 
 def test_json_rejects_a_corrupt_identity_entry():
