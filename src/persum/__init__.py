@@ -18,6 +18,7 @@ from .covering import (
     gcd_window,
     maximal_moduli_distinct,
     multiplicity,
+    multiplicity_window,
     odd_cover_check,
     parse_residue_system,
     window_class_check,
@@ -85,6 +86,7 @@ __all__ = [
     "lcm_all",
     "maximal_moduli_distinct",
     "multiplicity",
+    "multiplicity_window",
     "odd_cover_check",
     "parse_fraction",
     "parse_residue_system",

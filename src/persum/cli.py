@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .covering import (
-    gcd_window,
     maximal_moduli_distinct,
-    multiplicity,
+    # not called here; perfbench/tracing.py wraps persum.cli.multiplicity by name
+    multiplicity,  # noqa: F401
+    multiplicity_window,
     parse_residue_system,
 )
 from .cyclotomic import characteristic_poly
@@ -240,8 +242,10 @@ def _load_system(args):
 
 def cmd_cover(args) -> dict:
     system = _load_system(args)
+    if args.check is not None and args.check[0] < 1:
+        raise ValueError(f"check modulus must be positive, got {args.check[0]}")
     length = system.window_length()
-    window = [multiplicity(system, args.start + i) for i in range(length)]
+    window = multiplicity_window(system, args.start, length)
     doc = {
         "classes": [[str(c.residue), str(c.modulus)] for c in system.classes],
         "window_length": str(length),
@@ -253,8 +257,6 @@ def cmd_cover(args) -> dict:
         doc["odd_cover"] = all(w % 2 == 1 for w in window)
     if args.check is not None:
         m, a = args.check
-        if m < 1:
-            raise ValueError(f"check modulus must be positive, got {m}")
         doc["class_check"] = {
             "m": str(m),
             "a": str(a % m),
@@ -263,7 +265,7 @@ def cmd_cover(args) -> dict:
         }
     if args.gcd_window is not None:
         a, b = args.gcd_window
-        value = gcd_window(system, a, b)
+        value = math.gcd(*(w + b for w in multiplicity_window(system, a, length)))
         doc["gcd_window"] = {
             "a": str(a),
             "b": str(b),

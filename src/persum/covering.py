@@ -3,10 +3,15 @@
 The covering multiplicity of an integer is how many classes of the system
 contain it. Because each class contributes a periodic indicator map, the
 multiplicity is a sum of periodic maps, and a spectrum-length window of
-multiplicities determines its behaviour on all of Z. That yields two
-window tests: membership of every multiplicity in a fixed residue class,
-and a gcd identity for systems whose divisibility-maximal moduli are
-pairwise distinct.
+multiplicities determines its behaviour on all of Z: the window is the
+paper's l-value certificate for that sum. That yields two window tests:
+membership of every multiplicity in a fixed residue class, and a gcd
+identity for systems whose divisibility-maximal moduli are pairwise
+distinct.
+
+Every window comes from multiplicity_window, which marks each class's
+members instead of testing every class at every position: L + sum(L/n_s + 1)
+steps for a window of length L, against L*k for k classes.
 """
 
 from __future__ import annotations
@@ -86,6 +91,22 @@ def multiplicity(sys: ResidueSystem, x: int) -> int:
     return sum(1 for cls in sys.classes if cls.contains(x))
 
 
+def multiplicity_window(sys: ResidueSystem, start: int, length: int) -> list[int]:
+    """The multiplicities at start, ..., start+length-1.
+
+    Each class is a periodic 0/1 indicator map, so the window is a sum of
+    indicator windows; at length window_length() it is the paper's l-value
+    certificate for that sum. Each class adds 1 at each of its members in
+    the window, found by one reduction and a stride of its modulus, so the
+    cost is L + sum(L/n_s + 1) steps for L = length, not L*k reductions.
+    """
+    window = [0] * length
+    for cls in sys.classes:
+        for i in range((cls.residue - start) % cls.modulus, length, cls.modulus):
+            window[i] += 1
+    return window
+
+
 def window_class_check(sys: ResidueSystem, m: int, a: int, start: int) -> WindowClassResult:
     """Test the multiplicities at start, ..., start+|S|-1 against a (mod m).
 
@@ -93,8 +114,7 @@ def window_class_check(sys: ResidueSystem, m: int, a: int, start: int) -> Window
     in a (mod m); the certificate carries the window values actually seen.
     """
     check_positive(m, "m")
-    length = sys.window_length()
-    window = tuple(multiplicity(sys, start + i) for i in range(length))
+    window = tuple(multiplicity_window(sys, start, sys.window_length()))
     ok = all(w % m == a % m for w in window)
     return WindowClassResult(ok, window, start)
 
@@ -131,8 +151,7 @@ def gcd_window(sys: ResidueSystem, a: int, b: int) -> int:
     reported by maximal_moduli_distinct, not enforced here. An all-zero
     window comes back as 0.
     """
-    length = sys.window_length()
-    return math.gcd(*(multiplicity(sys, a + r) + b for r in range(length)))
+    return math.gcd(*(w + b for w in multiplicity_window(sys, a, sys.window_length())))
 
 
 def parse_residue_system(text: str) -> ResidueSystem:

@@ -12,6 +12,7 @@ import pytest
 
 import persum
 import persum.cli
+import persum.covering
 import persum.reconstruction
 from persum.cli import main
 from persum.reconstruction import (
@@ -262,6 +263,8 @@ def test_cover_inline(capsys):
     assert doc["window"] == ["2", "0", "1", "1"]
     assert doc["maximal_moduli_distinct"] is True
     assert doc["odd_cover"] is False
+    # the maximal moduli 201..400 are distinct, which forces gcd 1
+    assert doc["maximal_moduli_distinct"] is True
     assert doc["gcd_window"]["value"] == "1"
     assert doc["gcd_window"]["all_zero_window"] is False
 
@@ -337,6 +340,59 @@ def test_cover_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "--classes", "0 mod 2", "--check", "0", "1")
     assert code == 2
     assert "positive" in err
+
+
+def test_cover_check_modulus_refused_before_any_window(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a window before checking --check M")
+
+    monkeypatch.setattr(persum.cli, "multiplicity_window", refuse)
+    code, out, err = run(capsys, "cover", "--classes", "0 mod 2", "--check", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: check modulus must be positive, got 0\n"
+
+
+COVER_MIXED = {
+    "classes": [["0", "2"], ["1", "3"], ["3", "4"]],
+    "window_length": "6",
+    "start": "-5",
+    "window": ["2", "1", "0", "2", "1", "1"],
+    "maximal_moduli_distinct": True,
+    "odd_cover": False,
+    "class_check": {"m": "3", "a": "1", "ok": False, "window": ["2", "1", "0", "2", "1", "1"]},
+    "gcd_window": {"a": "10", "b": "2", "value": "1", "all_zero_window": False},
+}
+
+
+def test_cover_tests_no_class_per_position(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tested every class at a window position")
+
+    monkeypatch.setattr(persum.cli, "multiplicity", refuse)
+    monkeypatch.setattr(persum.covering, "multiplicity", refuse)
+    code, out, err = run(
+        capsys, "cover", "--classes", "0 mod 2", "1 mod 3", "3 mod 4", "--start", "-5",
+        "--odd", "--check", "3", "1", "--gcd-window", "10", "2",
+    )
+    assert code == 0, err
+    assert out == json.dumps(COVER_MIXED, indent=2) + "\n"
+
+
+def test_cover_on_four_hundred_classes_is_fast(capsys):
+    # classes n//2 mod n for n = 2..400: a window of about 48,700 positions,
+    # which per-position counting took seconds to fill
+    moduli = range(2, 401)
+    classes = [f"{n // 2} mod {n}" for n in moduli]
+    start = time.perf_counter()
+    doc = run_json(capsys, "cover", "--classes", *classes, "--odd", "--gcd-window", "7", "0")
+    assert time.perf_counter() - start < 1.5
+    window = doc["window"]
+    assert int(doc["window_length"]) == len(window) > 40_000
+    for i in [*range(50), *range(0, len(window), 997), len(window) - 1]:
+        assert int(window[i]) == sum(1 for n in moduli if i % n == n // 2), i
+    assert doc["odd_cover"] is False
+    assert doc["gcd_window"]["value"] == "1"
 
 
 def test_finewilf_identical(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import persum.covering
 from persum.covering import (
     ResidueClass,
     ResidueSystem,
@@ -137,6 +138,25 @@ def test_window_pass_certifies_all_of_z():
         N = math.lcm(*sys.moduli)
         assert all(multiplicity(sys, x) % m == a % m for x in range(N))
         confirmed += 1
+
+
+def test_window_checks_call_no_per_position_multiplicity(monkeypatch):
+    # the checks read one marked window; multiplicity stays only as the oracle
+    def refuse(*args):
+        raise AssertionError("tested every class at a window position")
+
+    monkeypatch.setattr(persum.covering, "multiplicity", refuse)
+    mixed = system((0, 2), (1, 3), (3, 4))
+    res = window_class_check(mixed, 3, 1, -5)
+    assert not res.ok
+    assert res.window == (2, 1, 0, 2, 1, 1)
+    assert res.start == -5
+    assert not odd_cover_check(mixed, 7)
+    assert gcd_window(mixed, 10, 2) == 1
+    exact = system((0, 2), (1, 4), (3, 4))
+    assert window_class_check(exact, 2, 1, 3).window == (1, 1, 1, 1)
+    assert odd_cover_check(exact, -9)
+    assert gcd_window(exact, 5, 1) == 2
 
 
 def test_odd_cover_examples():

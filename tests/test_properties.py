@@ -1,5 +1,6 @@
 """Property tests: the table, the single-row route and brute force agree on
-random sums, and the two parsers of outside input fail only with ValueError.
+random sums, the marked multiplicity window agrees with per-position
+counting, and the two parsers of outside input fail only with ValueError.
 
 Every test runs derandomized and without a deadline, so a run is the same
 on every machine and never fails for being slow.
@@ -10,10 +11,16 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persum.covering import ResidueSystem, parse_residue_system
+from persum.covering import (
+    ResidueClass,
+    ResidueSystem,
+    multiplicity,
+    multiplicity_window,
+    parse_residue_system,
+)
 from persum.groups import IntVector, ModInt, zero_like
 from persum.reconstruction import (
     PeriodicMap,
@@ -71,6 +78,28 @@ def test_table_row_single_row_and_brute_force_agree(group, data):
     for c, g in zip(table.row_for(x), initial):
         by_row = by_row + times(g, c)
     assert by_row == extrapolate(ps, initial, x) == psi(x)
+
+
+residue_classes = st.builds(ResidueClass, st.integers(-10**6, 10**6), st.integers(1, 60))
+
+
+@settings(FIXED, max_examples=300)
+@given(
+    classes=st.lists(residue_classes, min_size=1, max_size=6),
+    repeats=st.lists(st.integers(0, 5), max_size=3),
+    start=st.integers(-10**30, 10**30),
+    length=st.integers(0, 40),
+)
+@example(classes=[ResidueClass(2, 3)], repeats=[0, 0], start=5, length=9)  # duplicates
+@example(classes=[ResidueClass(0, 1), ResidueClass(1, 2)], repeats=[], start=-3, length=7)  # modulus 1
+@example(classes=[ResidueClass(59, 60), ResidueClass(1, 2)], repeats=[], start=0, length=5)  # no member
+@example(classes=[ResidueClass(0, 2)], repeats=[], start=4, length=0)
+@example(classes=[ResidueClass(7, 11), ResidueClass(3, 4)], repeats=[1], start=-10**30, length=30)
+@example(classes=[ResidueClass(7, 11), ResidueClass(3, 4)], repeats=[], start=10**30, length=30)
+def test_multiplicity_window_matches_per_position_count(classes, repeats, start, length):
+    sys = ResidueSystem(tuple(classes) + tuple(classes[i % len(classes)] for i in repeats))
+    expect = [multiplicity(sys, start + i) for i in range(length)]
+    assert multiplicity_window(sys, start, length) == expect
 
 
 json_scalars = st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats() | st.text(max_size=6)
