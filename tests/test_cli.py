@@ -126,6 +126,42 @@ def test_coeffs_out_file(tmp_path, capsys):
     assert table_from_json_dict(doc) == coefficient_table(PeriodSystem((2, 3)))
 
 
+class _JsonWithoutDumps:
+    """Stands in for the json module inside persum.cli; dumps refuses."""
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    @staticmethod
+    def dumps(*args, **kwargs):
+        raise AssertionError("persum.cli called json.dumps")
+
+
+def test_every_document_has_the_bytes_of_json_dumps_without_calling_it(tmp_path, capsys, monkeypatch):
+    cover_argv = [
+        "cover", "--classes", "0 mod 2", "0 mod 3", "1 mod 4", "5 mod 6", "7 mod 12",
+        "--odd", "--check", "3", "1", "--gcd-window", "0", "0",
+    ]
+    vec_argv = ["extrapolate", "--periods", "2", "--initial", "-4,12", "3,-4", "--at", "-5", "--vec", "2"]
+    # the oracle bytes, computed before json.dumps is taken away
+    table_text = json.dumps(table_to_json_dict(coefficient_table(PeriodSystem((60, 84, 90)))), indent=2) + "\n"
+    expect = {}
+    for argv in (cover_argv, vec_argv):
+        args = persum.cli.build_parser().parse_args(argv)
+        expect[argv[0]] = json.dumps(args.func(args), indent=2) + "\n"
+
+    monkeypatch.setattr(persum.cli, "json", _JsonWithoutDumps())
+    target = tmp_path / "table.json"
+    code, out, err = run(capsys, "coeffs", "60", "84", "90", "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert len(table_text) > 2_000_000
+    assert target.read_text() == table_text
+    for argv in (cover_argv, vec_argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == expect[argv[0]]
+
+
 def test_coeffs_row_cap_exit_code(capsys):
     code, _, err = run(capsys, "coeffs", "2", "3", "--max-rows", "5")
     assert code == 3

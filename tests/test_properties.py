@@ -1,6 +1,7 @@
 """Property tests: the table, the single-row route and brute force agree on
 random sums, the marked multiplicity window agrees with per-position
-counting, and the two parsers of outside input fail only with ValueError.
+counting, the two parsers of outside input fail only with ValueError, and
+the CLI's JSON writer writes the bytes of `json.dumps(indent=2)`.
 
 Every test runs derandomized and without a deadline, so a run is the same
 on every machine and never fails for being slow.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from persum.cli import _dumps
 from persum.covering import (
     ResidueClass,
     ResidueSystem,
@@ -168,3 +170,37 @@ def test_parse_residue_system_fails_only_with_value_error(text):
         return
     assert isinstance(system, ResidueSystem)
     assert all(0 <= cls.residue < cls.modulus for cls in system.classes)
+
+
+# The trees the CLI writes: str-keyed dicts, lists, strings and booleans.
+# Strings from ASCII with `"` and `\` come often, so lists that need only
+# one escape are drawn as well as lists that need none.
+json_strings = st.one_of(st.text(), st.text(st.characters(max_codepoint=127)))
+json_trees = st.recursive(
+    st.one_of(json_strings, st.booleans()),
+    lambda children: st.one_of(
+        st.lists(json_strings), st.lists(children), st.dictionaries(json_strings, children)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(FIXED, max_examples=500)
+@given(tree=json_trees)
+@example(tree=['"', "\\", "\x7f", "\n", "é", "\ud800"])  # each needs an escape
+@example(tree=["1", 'a"b'])
+@example(tree=["1", "a\\b"])
+@example(tree=["1", "\x7f"])
+@example(tree=[])
+@example(tree={})
+@example(tree=[[], ["1"]])
+@example(tree=[True, "1"])
+@example(tree={"a": []})
+def test_cli_writer_matches_json_dumps_indent_2(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [1, None, ["1", 1], {"a": None}])
+def test_cli_writer_refuses_a_non_string_scalar(tree):
+    with pytest.raises(TypeError):
+        _dumps(tree)
