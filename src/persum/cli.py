@@ -3,9 +3,7 @@
 All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
-`json.dumps(doc, indent=2)` plus a newline, written by one writer, `_dumps`:
-`coeffs 97 101 --out` (22 MB) takes about 0.50 s at 209 MB peak RSS, against
-0.86 s and 320 MB through `json.dumps` (Python 3.11, 2-core VM).
+`json.dumps(doc, indent=2)` plus a newline, written by one writer, `_dumps`.
 Exit codes: 0 success, 2 usage or parse error, 3 resource cap exceeded.
 """
 
@@ -193,19 +191,12 @@ def cmd_coeffs(args) -> dict | None:
     return doc
 
 
-def _value_to_json(value):
-    if isinstance(value, ModInt):
-        return str(value.value)
-    if isinstance(value, IntVector):
-        return [str(a) for a in value.entries]
-    return str(value)
-
-
 def cmd_extrapolate(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
     if args.mod is not None:
         group = {"group": "mod", "modulus": str(args.mod)}
         parse = lambda tok: ModInt(int(tok), args.mod)  # noqa: E731
+        to_json = lambda value: str(value.value)  # noqa: E731
     elif args.vec is not None:
         group = {"group": "vec", "dimension": str(args.vec)}
 
@@ -217,9 +208,10 @@ def cmd_extrapolate(args) -> dict:
                 )
             return IntVector(entries)
 
+        to_json = lambda value: [str(a) for a in value.entries]  # noqa: E731
     else:
         group = {"group": "int"}
-        parse = int
+        parse, to_json = int, str
     try:
         initial = [parse(tok) for tok in args.initial]
     except ValueError as exc:
@@ -229,8 +221,8 @@ def cmd_extrapolate(args) -> dict:
         "periods": [str(n) for n in ps.periods],
         **group,
         "x": str(args.at),
-        "initial": [_value_to_json(v) for v in initial],
-        "value": _value_to_json(value),
+        "initial": [to_json(v) for v in initial],
+        "value": to_json(value),
     }
 
 

@@ -72,10 +72,7 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        out = list(self.coeffs) + [0] * max(len(other.coeffs) - len(self.coeffs), 0)
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(out)
+        return self + (-other)
 
     def __neg__(self) -> IntPolynomial:
         return IntPolynomial(-c for c in self.coeffs)

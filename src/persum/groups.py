@@ -1,14 +1,15 @@
 """Additive abelian values the reconstruction machinery can range over.
 
-Three realizations ship with the package:
+A group value needs zero() (its group's identity), binary +, unary - and
+==; any class with these runs through the same code path. The zero
+identifies the group: two values may be added exactly when their zeros are
+equal. Integer scaling is derived from + and - by scale(), so a
+realization never implements multiplication itself. Three ship here:
 
-  * plain Python ints (the group Z),
-  * ModInt, integers mod m for m >= 1 (the group Z_m),
-  * IntVector, integer vectors of a fixed dimension (the group Z^d).
-
-Anything supporting +, unary -, == and a zero obtainable through
-zero_like() works; integer scaling is derived from those by scale(), so a
-realization never needs to implement multiplication itself.
+  * plain Python ints (the group Z), whose zero_like() is 0,
+  * ModInt, integers mod m for m >= 1 (the group Z_m), whose zero carries m,
+  * IntVector, integer vectors of dimension d (the group Z^d), whose zero
+    carries d.
 """
 
 from __future__ import annotations
@@ -85,21 +86,17 @@ class IntVector:
 
 
 def zero_like(g):
-    """The additive identity of g's group."""
+    """The additive identity of g's group: 0 for an int, g.zero() otherwise."""
     if isinstance(g, int):
         return 0
     return g.zero()
 
 
 def same_realization(a, b) -> bool:
-    """Whether a and b live in the same group and may be added."""
-    if isinstance(a, int) and isinstance(b, int):
-        return True
-    if isinstance(a, ModInt) and isinstance(b, ModInt):
-        return a.modulus == b.modulus
-    if isinstance(a, IntVector) and isinstance(b, IntVector):
-        return len(a.entries) == len(b.entries)
-    return False
+    """Whether a and b live in the same group and may be added: exactly when
+    their zeros are equal, so an int (zero 0) never matches a ModInt or an
+    IntVector, and True counts as an int."""
+    return zero_like(a) == zero_like(b)
 
 
 def scale(g, n: int):

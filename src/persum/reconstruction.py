@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 
 from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
-from .groups import same_realization, scale, zero_like
+from .groups import scale, zero_like
 from .spectrum import (
     PeriodSystem,
-    _json_int,
+    _strict_int,
     build_spectrum,
     fraction_str,
     parse_fraction,
@@ -45,7 +45,8 @@ class TableSizeError(ValueError):
 
 
 def _check_one_group(values) -> None:
-    if not all(same_realization(values[0], v) for v in values[1:]):
+    zero = zero_like(values[0])
+    if not all(zero_like(v) == zero for v in values[1:]):
         raise ValueError("mixed group realizations")
 
 
@@ -288,13 +289,13 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
     0, and the charpoly is the periods'. Any failure raises ValueError.
     """
     try:
-        ps = PeriodSystem(tuple(_json_int(s) for s in doc["periods"]))
-        n_rows = _json_int(doc["N"])
-        width = _json_int(doc["l"])
+        ps = PeriodSystem(tuple(_strict_int(s) for s in doc["periods"]))
+        n_rows = _strict_int(doc["N"])
+        width = _strict_int(doc["l"])
         elements = tuple(parse_fraction(s) for s in doc["spectrum"])
-        charpoly = [_json_int(s) for s in doc["charpoly"]]
-        recurrence = tuple(_json_int(s) for s in doc["recurrence"])
-        rows = tuple(tuple(_json_int(s) for s in row) for row in doc["rows"])
+        charpoly = [_strict_int(s) for s in doc["charpoly"]]
+        recurrence = tuple(_strict_int(s) for s in doc["recurrence"])
+        rows = tuple(tuple(_strict_int(s) for s in row) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed table document: {exc}") from exc
     if len(recurrence) != width or len(elements) != width:

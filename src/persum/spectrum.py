@@ -76,13 +76,15 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _json_int(value) -> int:
-    # ints may arrive as JSON numbers or as decimal strings; floats and
-    # booleans are not integers and must not sneak through int()
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+def _strict_int(value) -> int:
+    """An integer from a document: a JSON int, or a string of ASCII digits
+    after an optional leading '-'. Floats and booleans are not integers, and
+    int() alone would also take spaces, '+', '_' and non-ASCII digits."""
     if isinstance(value, str):
-        return int(value)
+        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ValueError(f"not an integer: {value!r}")
 
 
@@ -94,8 +96,8 @@ def parse_fraction(text: str) -> Fraction:
     if not sep or "/" in den:
         raise ValueError(f"expected num/den, got {text!r}")
     try:
-        numerator = int(num)
-        denominator = int(den)
+        numerator = _strict_int(num)
+        denominator = _strict_int(den)
     except ValueError:
         raise ValueError(f"expected num/den, got {text!r}") from None
     if denominator < 1:

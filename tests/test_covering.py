@@ -265,6 +265,10 @@ def test_parse_text_errors():
         parse_residue_system("# only comments\n")
     with pytest.raises(ValueError):
         parse_residue_system("0 mod\n")
+    # int() would read each of these; a residue file takes ASCII digits only
+    for line in ("\u0663 mod \u0667", "+3 mod 7", "3 mod 0_7", "3 mod +7"):
+        with pytest.raises(ValueError, match="line 2: expected 'a mod n'"):
+            parse_residue_system("0 mod 2\n" + line)
 
 
 def test_parse_json_format():
@@ -289,6 +293,9 @@ def test_parse_json_errors():
         parse_residue_system("[[0, 0]]")
     with pytest.raises(ValueError):
         parse_residue_system('[[true, 2]]')
+    for pair in ('["1_0", " 3"]', '["+1", "3"]', '["1", "\\u0663"]', '["1", "3 "]'):
+        with pytest.raises(ValueError, match="entry 1: expected an"):
+            parse_residue_system(f"[[0, 2], {pair}]")
     # nesting too deep for the JSON decoder
     with pytest.raises(ValueError, match="bad JSON"):
         parse_residue_system("[" * 100_000)

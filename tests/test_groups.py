@@ -1,6 +1,7 @@
 """Tests for the abelian group value realizations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,31 @@ def test_same_realization():
     assert same_realization(IntVector((1,)), IntVector((2,)))
     assert not same_realization(IntVector((1,)), IntVector((1, 2)))
     assert not same_realization(IntVector((1,)), 1)
+    assert not same_realization(ModInt(0, 1), IntVector((0,)))
+    assert same_realization(True, 1)
+    assert same_realization(Halves(1), Halves(-3))
+    assert not same_realization(Halves(1), 1)
+    assert not same_realization(0, Halves(0))
+
+
+class Halves:
+    """(1/2)Z, a group persum ships no class for: only zero(), +, unary -
+    and ==."""
+
+    def __init__(self, twice: int):
+        self.q = Fraction(twice, 2)
+
+    def zero(self):
+        return Halves(0)
+
+    def __add__(self, other):
+        return Halves(2 * (self.q + other.q))
+
+    def __neg__(self):
+        return Halves(-2 * self.q)
+
+    def __eq__(self, other):
+        return isinstance(other, Halves) and self.q == other.q
 
 
 def test_scale_examples():

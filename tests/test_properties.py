@@ -1,5 +1,5 @@
 """Property tests: the table, the single-row route and brute force agree on
-random sums, the marked multiplicity window agrees with per-position
+random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
 counting, the two parsers of outside input fail only with ValueError, and
 the CLI's JSON writer writes the bytes of `json.dumps(indent=2)`.
 
@@ -10,6 +10,7 @@ on every machine and never fails for being slow.
 import copy
 import functools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +45,26 @@ def table_for(ps):
     return coefficient_table(ps)
 
 
+class Rational:
+    """The rationals under addition, a group persum ships no class for: it
+    has only zero(), +, unary - and ==."""
+
+    def __init__(self, q: Fraction):
+        self.q = q
+
+    def zero(self):
+        return Rational(Fraction(0))
+
+    def __add__(self, other):
+        return Rational(self.q + other.q)
+
+    def __neg__(self):
+        return Rational(-self.q)
+
+    def __eq__(self, other):
+        return isinstance(other, Rational) and self.q == other.q
+
+
 def group_values(draw, group):
     """A strategy for one group's values, the group drawn first."""
     if group == "int":
@@ -51,6 +72,8 @@ def group_values(draw, group):
     if group == "mod":
         m = draw(st.integers(2, 10**9))
         return st.integers(0, m - 1).map(lambda v: ModInt(v, m))
+    if group == "rational":
+        return st.fractions(-10**3, 10**3, max_denominator=60).map(Rational)
     d = draw(st.integers(1, 3))
     return st.tuples(*[st.integers(-99, 99)] * d).map(IntVector)
 
@@ -61,10 +84,12 @@ def times(g, c):
         return ModInt(c * g.value % g.modulus, g.modulus)
     if isinstance(g, IntVector):
         return IntVector(tuple(c * a for a in g.entries))
+    if isinstance(g, Rational):
+        return Rational(c * g.q)
     return c * g
 
 
-@pytest.mark.parametrize("group", ["int", "mod", "vec"])
+@pytest.mark.parametrize("group", ["int", "mod", "vec", "rational"])
 @settings(FIXED, max_examples=40)
 @given(data=st.data())
 def test_table_row_single_row_and_brute_force_agree(group, data):
@@ -79,7 +104,7 @@ def test_table_row_single_row_and_brute_force_agree(group, data):
     by_row = zero_like(initial[0])
     for c, g in zip(table.row_for(x), initial):
         by_row = by_row + times(g, c)
-    assert by_row == extrapolate(ps, initial, x) == psi(x)
+    assert by_row == extrapolate(table, initial, x) == extrapolate(ps, initial, x) == psi(x)
 
 
 residue_classes = st.builds(ResidueClass, st.integers(-10**6, 10**6), st.integers(1, 60))

@@ -527,14 +527,22 @@ def test_json_rejects_periods_that_are_not_the_tables(periods, message):
         lambda doc: doc["spectrum"].__setitem__(0, None),
         lambda doc: doc["charpoly"].__setitem__(-1, True),
         lambda doc: doc["rows"][1].__setitem__(1, 1.0),
+        lambda doc: doc.update(N=" 6"),
+        lambda doc: doc.update(N="+6"),
+        lambda doc: doc.update(N="6\n"),
+        lambda doc: doc.update(N="\u0666"),
+        lambda doc: doc["spectrum"].__setitem__(3, "2/\u0663"),
+        lambda doc: doc["rows"][4].__setitem__(0, "0_1"),
     ],
     ids=["float-N", "float-l", "float-periods", "int-fraction", "null-fraction", "bool-coeff",
-         "float-cell"],
+         "float-cell", "space-N", "plus-N", "newline-N", "arabic-indic-N", "arabic-indic-fraction",
+         "underscore-cell"],
 )
 def test_json_takes_integers_strictly(mutate):
     # each number would pass for the one it replaces if floats were
-    # truncated and bools read as ints; a fraction that is not a string
-    # must fail as malformed, not with an AttributeError
+    # truncated, bools read as ints or strings read by int(), which also
+    # takes spaces, '+', '_' and non-ASCII digits; a fraction that is not
+    # a string must fail as malformed, not with an AttributeError
     doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
     mutate(doc)
     with pytest.raises(ValueError, match="malformed table document"):

@@ -212,6 +212,7 @@ def test_fraction_round_trip():
 
 
 def test_parse_fraction_rejects_garbage():
-    for bad in ("", "1", "1/", "/2", "a/b", "1/0", "1/2/3", 0, None, 0.5, ["1/2"]):
+    for bad in ("", "1", "1/", "/2", "a/b", "1/0", "1/2/3", 0, None, 0.5, ["1/2"],
+                "2/\u0663", " 2/3", "2/+3", "1_0/3", "-/3"):
         with pytest.raises(ValueError):
             parse_fraction(bad)
