@@ -4,6 +4,10 @@ All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
 `json.dumps(doc, indent=2)` plus a newline, written by one writer, `_dumps`.
+Every integer on the command line is read by `numth.strict_int`, the rule
+for documents too: ASCII digits after an optional '-', so a space, '+', '_'
+or another script's digit exits 2. A --vec value joins its entries with
+commas alone, as in 1,-2.
 Exit codes: 0 success, 2 usage or parse error, 3 resource cap exceeded.
 """
 
@@ -26,6 +30,7 @@ from .covering import (
 )
 from .cyclotomic import characteristic_poly
 from .groups import IntVector, ModInt
+from .numth import strict_int
 from .reconstruction import (
     DEFAULT_MAX_ROWS,
     PeriodicMap,
@@ -47,7 +52,7 @@ from .spectrum import (
 
 def positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = strict_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VALUE",
         help="the map's values at 0..l-1; with --vec each value is d comma-separated ints",
     )
-    p.add_argument("--at", type=int, required=True, metavar="X", help="argument to reconstruct at")
+    p.add_argument("--at", type=strict_int, required=True, metavar="X", help="argument to reconstruct at")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--int", dest="group_int", action="store_true", help="plain integers (default)")
     group.add_argument("--mod", type=positive_int, metavar="M", help="integers mod M")
@@ -123,27 +128,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="'A mod N'",
         help="inline residue classes instead of a file",
     )
-    p.add_argument("--start", type=int, default=0, help="first x of the inspected window")
+    p.add_argument("--start", type=strict_int, default=0, help="first x of the inspected window")
     p.add_argument("--odd", action="store_true", help="test for an odd cover")
     p.add_argument(
         "--check",
         nargs=2,
-        type=int,
+        type=strict_int,
         metavar=("M", "A"),
         help="test whether every multiplicity lies in A (mod M)",
     )
     p.add_argument(
         "--gcd-window",
         nargs=2,
-        type=int,
+        type=strict_int,
         metavar=("A", "B"),
         help="gcd of multiplicity(A+r)+B over the window",
     )
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("finewilf", help="difference gcd of two integer periodic maps")
-    p.add_argument("--first", nargs="+", type=int, required=True, metavar="V")
-    p.add_argument("--second", nargs="+", type=int, required=True, metavar="V")
+    p.add_argument("--first", nargs="+", type=strict_int, required=True, metavar="V")
+    p.add_argument("--second", nargs="+", type=strict_int, required=True, metavar="V")
     p.add_argument("--first-period", type=positive_int, help="declared period (default: count)")
     p.add_argument("--second-period", type=positive_int, help="declared period (default: count)")
     p.set_defaults(func=cmd_finewilf)
@@ -195,13 +200,13 @@ def cmd_extrapolate(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
     if args.mod is not None:
         group = {"group": "mod", "modulus": str(args.mod)}
-        parse = lambda tok: ModInt(int(tok), args.mod)  # noqa: E731
+        parse = lambda tok: ModInt(strict_int(tok), args.mod)  # noqa: E731
         to_json = lambda value: str(value.value)  # noqa: E731
     elif args.vec is not None:
         group = {"group": "vec", "dimension": str(args.vec)}
 
         def parse(tok: str) -> IntVector:
-            entries = tuple(int(part) for part in tok.split(","))
+            entries = tuple(strict_int(part) for part in tok.split(","))
             if len(entries) != args.vec:
                 raise ValueError(
                     f"expected {args.vec} comma-separated entries, got {tok!r}"
@@ -211,7 +216,7 @@ def cmd_extrapolate(args) -> dict:
         to_json = lambda value: [str(a) for a in value.entries]  # noqa: E731
     else:
         group = {"group": "int"}
-        parse, to_json = int, str
+        parse, to_json = strict_int, str
     try:
         initial = [parse(tok) for tok in args.initial]
     except ValueError as exc:

@@ -20,9 +20,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .numth import check_positive
+from .numth import check_positive, strict_int
 from .reconstruction import PeriodicMap
-from .spectrum import PeriodSystem, _strict_int, size_by_phi
+from .spectrum import PeriodSystem, size_by_phi
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def parse_residue_system(text: str) -> ResidueSystem:
         if len(parts) != 3 or parts[1] != "mod":
             raise ValueError(f"line {lineno}: expected 'a mod n', got {line!r}")
         try:
-            residue, modulus = _strict_int(parts[0]), _strict_int(parts[2])
+            residue, modulus = strict_int(parts[0]), strict_int(parts[2])
         except ValueError:
             raise ValueError(f"line {lineno}: expected 'a mod n', got {line!r}") from None
         if modulus < 1:
@@ -196,7 +196,7 @@ def _parse_json_system(text: str) -> ResidueSystem:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"entry {i}: expected an [a, n] pair, got {pair!r}")
         try:
-            residue, modulus = (_strict_int(v) for v in pair)
+            residue, modulus = (strict_int(v) for v in pair)
         except ValueError:
             raise ValueError(f"entry {i}: expected an [a, n] pair, got {pair!r}") from None
         if modulus < 1:

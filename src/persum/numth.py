@@ -2,7 +2,8 @@
 
 Everything operates on plain Python ints (arbitrary precision), so nothing
 here can overflow. Positive arguments are validated at entry points rather
-than wrapped in a dedicated integer type.
+than wrapped in a dedicated integer type, and strict_int is the one way
+outside text, on the command line or in a document, becomes an integer.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ def check_positive(n: int, what: str = "value") -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"{what} must be a positive integer, got {n!r}")
     return n
+
+
+def strict_int(value) -> int:
+    """An integer from outside the program: a string of ASCII digits after an
+    optional leading '-', or a JSON int. Floats and booleans are not integers,
+    and int() alone would also take spaces, '+', '_' and non-ASCII digits."""
+    if isinstance(value, str):
+        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"not an integer: {value!r}")
 
 
 def gcd_exponents(values: Iterable[int]) -> dict[int, int]:

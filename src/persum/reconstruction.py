@@ -29,13 +29,8 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
 from .groups import scale, zero_like
-from .spectrum import (
-    PeriodSystem,
-    _strict_int,
-    build_spectrum,
-    fraction_str,
-    parse_fraction,
-)
+from .numth import strict_int
+from .spectrum import PeriodSystem, build_spectrum, fraction_str, parse_fraction
 
 DEFAULT_MAX_ROWS = 10**6
 
@@ -192,12 +187,10 @@ def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> Coe
     return CoefficientTable(ps, coeffs, tuple(rows))
 
 
-def _power_row(ps: PeriodSystem, x: int) -> tuple[int, tuple[int, ...]]:
-    """l, and the row for x without the table: the coefficients of
-    x^(x mod N) mod P, trailing zeros dropped. The row cap still applies."""
-    n_rows = _checked_modulus(ps, DEFAULT_MAX_ROWS)
-    charpoly = characteristic_poly(ps)
-    return charpoly.degree, poly_powmod(X, x % n_rows, charpoly).coeffs
+def _check_initial(initial: tuple, width: int) -> None:
+    if len(initial) != width:
+        raise ValueError(f"expected {width} initial values, got {len(initial)}")
+    _check_one_group(initial)
 
 
 def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
@@ -209,16 +202,19 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     a map that is a sum of periodic maps with the source's periods; the
     result then equals that map's value at x, negative x included.
     Arbitrary initial vectors are accepted, with the agreement promise only
-    where such a sum exists.
+    where such a sum exists. The row cap, then the count and group of the
+    initial values, are checked before the row is computed.
     """
-    if isinstance(source, PeriodSystem):
-        width, row = _power_row(source, x)
-    else:
-        width, row = source.width, source.row_for(x)
     initial = tuple(initial)
-    if len(initial) != width:
-        raise ValueError(f"expected {width} initial values, got {len(initial)}")
-    _check_one_group(initial)
+    if isinstance(source, PeriodSystem):
+        n_rows = _checked_modulus(source, DEFAULT_MAX_ROWS)
+        charpoly = characteristic_poly(source)
+        _check_initial(initial, charpoly.degree)
+        # x^(x mod N) mod P; its coefficients are the row, trailing zeros dropped
+        row = poly_powmod(X, x % n_rows, charpoly).coeffs
+    else:
+        _check_initial(initial, source.width)
+        row = source.row_for(x)
     acc = zero_like(initial[0])
     for c, g in zip(row, initial):
         if c:
@@ -289,13 +285,13 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
     0, and the charpoly is the periods'. Any failure raises ValueError.
     """
     try:
-        ps = PeriodSystem(tuple(_strict_int(s) for s in doc["periods"]))
-        n_rows = _strict_int(doc["N"])
-        width = _strict_int(doc["l"])
+        ps = PeriodSystem(tuple(strict_int(s) for s in doc["periods"]))
+        n_rows = strict_int(doc["N"])
+        width = strict_int(doc["l"])
         elements = tuple(parse_fraction(s) for s in doc["spectrum"])
-        charpoly = [_strict_int(s) for s in doc["charpoly"]]
-        recurrence = tuple(_strict_int(s) for s in doc["recurrence"])
-        rows = tuple(tuple(_strict_int(s) for s in row) for row in doc["rows"])
+        charpoly = [strict_int(s) for s in doc["charpoly"]]
+        recurrence = tuple(strict_int(s) for s in doc["recurrence"])
+        rows = tuple(tuple(strict_int(s) for s in row) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed table document: {exc}") from exc
     if len(recurrence) != width or len(elements) != width:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all
+from .numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all, strict_int
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,6 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _strict_int(value) -> int:
-    """An integer from a document: a JSON int, or a string of ASCII digits
-    after an optional leading '-'. Floats and booleans are not integers, and
-    int() alone would also take spaces, '+', '_' and non-ASCII digits."""
-    if isinstance(value, str):
-        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
-            return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"not an integer: {value!r}")
-
-
 def parse_fraction(text: str) -> Fraction:
     """Inverse of fraction_str."""
     if not isinstance(text, str):
@@ -96,8 +84,8 @@ def parse_fraction(text: str) -> Fraction:
     if not sep or "/" in den:
         raise ValueError(f"expected num/den, got {text!r}")
     try:
-        numerator = _strict_int(num)
-        denominator = _strict_int(den)
+        numerator = strict_int(num)
+        denominator = strict_int(den)
     except ValueError:
         raise ValueError(f"expected num/den, got {text!r}") from None
     if denominator < 1:

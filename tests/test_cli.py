@@ -1,7 +1,9 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ import persum
 import persum.cli
 import persum.covering
 import persum.reconstruction
-from persum.cli import main
+from persum.cli import main, positive_int
+from persum.numth import strict_int
 from persum.reconstruction import (
     coefficient_table,
     extrapolate,
@@ -287,6 +290,84 @@ def test_extrapolate_vec_dimension_mismatch(capsys):
         "--at", "0", "--vec", "2",
     )
     assert code == 2
+
+
+# every place an integer enters from argv; {} stands for the token under test
+ARGV_INTEGER_SITES = {
+    "spectrum-period": ["spectrum", "{}"],
+    "charpoly-period": ["charpoly", "2", "{}"],
+    "coeffs-period": ["coeffs", "{}"],
+    "coeffs-max-rows": ["coeffs", "1", "--max-rows", "{}"],
+    "extrapolate-periods": ["extrapolate", "--periods", "{}", "--initial", "1", "--at", "0"],
+    "extrapolate-at": ["extrapolate", "--periods", "1", "--initial", "1", "--at", "{}"],
+    "extrapolate-mod": ["extrapolate", "--periods", "1", "--initial", "1", "--at", "0", "--mod", "{}"],
+    "extrapolate-vec": ["extrapolate", "--periods", "1", "--initial", "1", "--at", "0", "--vec", "{}"],
+    "initial-int": ["extrapolate", "--periods", "2", "--initial", "1", "{}", "--at", "0"],
+    "initial-mod": ["extrapolate", "--periods", "2", "--initial", "{}", "1", "--at", "0", "--mod", "5"],
+    "initial-vec": ["extrapolate", "--periods", "2", "--initial", "1,2", "3,{}", "--at", "0", "--vec", "2"],
+    "cover-start": ["cover", "--classes", "0 mod 2", "--start", "{}"],
+    "cover-check-m": ["cover", "--classes", "0 mod 2", "--check", "{}", "1"],
+    "cover-check-a": ["cover", "--classes", "0 mod 2", "--check", "2", "{}"],
+    "cover-gcd-a": ["cover", "--classes", "0 mod 2", "--gcd-window", "{}", "0"],
+    "cover-gcd-b": ["cover", "--classes", "0 mod 2", "--gcd-window", "0", "{}"],
+    "finewilf-first": ["finewilf", "--first", "0", "{}", "--second", "1"],
+    "finewilf-second": ["finewilf", "--first", "0", "--second", "{}"],
+    "finewilf-first-period": ["finewilf", "--first", "0", "--second", "1", "--first-period", "{}"],
+    "finewilf-second-period": ["finewilf", "--first", "0", "--second", "1", "--second-period", "{}"],
+}
+
+
+def test_no_integer_option_bypasses_the_strict_reader():
+    subparsers = next(a for a in persum.cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {argv[0] for argv in ARGV_INTEGER_SITES.values()}
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            assert action.type is not int, (name, action.dest)
+            assert action.type in (None, strict_int, positive_int), (name, action.dest)
+
+
+@pytest.mark.parametrize("site", ARGV_INTEGER_SITES)
+def test_every_argv_integer_site_takes_a_canonical_token(capsys, site):
+    argv = [arg.format("1") for arg in ARGV_INTEGER_SITES[site]]
+    run_json(capsys, *argv)
+
+
+@pytest.mark.parametrize("token", ["\u0663", "-\u0663", " 1", "1 ", "+1", "1_0"])
+@pytest.mark.parametrize("site", ARGV_INTEGER_SITES)
+def test_every_argv_integer_site_refuses_what_int_would_take(capsys, site, token):
+    argv = [arg.format(token) for arg in ARGV_INTEGER_SITES[site]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert repr(token) in err
+    assert "Traceback" not in err
+
+
+def test_argv_integers_keep_their_sign_and_size(capsys):
+    huge = 10**60 - 1
+    doc = run_json(capsys, "extrapolate", "--periods", "2", "3", "--initial", str(huge), "-4", "12", "0",
+                   "--at", str(-huge))
+    assert doc["x"] == str(-huge)
+    assert doc["value"] == str(extrapolate(PeriodSystem((2, 3)), [huge, -4, 12, 0], -huge))
+    doc = run_json(capsys, "extrapolate", "--periods", "2", "--initial", f"-4,{huge}", "3,-4",
+                   "--at", str(huge), "--vec", "2")
+    assert doc["initial"] == [["-4", str(huge)], ["3", "-4"]]
+    assert doc["value"] == ["3", "-4"]
+    doc = run_json(capsys, "extrapolate", "--periods", "2", "--initial", "-4", str(huge),
+                   "--at", "-5", "--mod", str(huge + 2))
+    assert doc["modulus"] == str(huge + 2)
+    assert doc["initial"] == [str(huge - 2), str(huge)]
+    assert doc["value"] == str(huge)
+    doc = run_json(capsys, "cover", "--classes", "0 mod 2", "--start", str(-huge),
+                   "--check", str(huge), "-1", "--gcd-window", str(huge), str(-huge))
+    assert doc["start"] == str(-huge)
+    assert doc["window"] == ["0", "1"]  # -huge is odd
+    assert doc["class_check"] == {"m": str(huge), "a": str(huge - 1), "ok": False, "window": ["0", "1"]}
+    assert doc["gcd_window"]["value"] == str(math.gcd(huge, huge - 1))
+    doc = run_json(capsys, "finewilf", "--first", str(-huge), "--second", str(huge), "-1",
+                   "--second-period", "2")
+    assert doc["first"] == [str(-huge)]
+    assert doc["difference_gcd"] == str(math.gcd(2 * huge, huge - 1))
 
 
 def test_cover_inline(capsys):

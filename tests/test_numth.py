@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from persum.numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all
+from persum.numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all, strict_int
 
 
 def phi_by_count(n):
@@ -30,6 +30,22 @@ def test_check_positive_rejects_bad_values():
     for bad in (1.5, "3", None, True):
         with pytest.raises((TypeError, ValueError)):
             check_positive(bad, "period")
+
+
+def test_strict_int_accepts_ascii_decimals_and_json_ints():
+    assert strict_int("0") == strict_int("-0") == strict_int(0) == 0
+    assert strict_int("-45") == strict_int(-45) == -45
+    assert strict_int("9" * 60) == 10**60 - 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "-", "--1", "+1", " 1", "1 ", "1\n", "1_0", "1.0", "0x1", "\u0663", "-\u0663",
+     "\u00b2", 1.0, True, False, None, [1]],
+)
+def test_strict_int_refuses_everything_else(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        strict_int(bad)
 
 
 def test_gcd_examples():

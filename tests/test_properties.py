@@ -1,22 +1,26 @@
 """Property tests: the table, the single-row route and brute force agree on
 random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
-counting, the two parsers of outside input fail only with ValueError, and
-the CLI's JSON writer writes the bytes of `json.dumps(indent=2)`.
+counting, the two parsers of outside input fail only with ValueError, the
+CLI takes an integer exactly when it is ASCII digits after an optional '-',
+and the CLI's JSON writer writes the bytes of `json.dumps(indent=2)`.
 
 Every test runs derandomized and without a deadline, so a run is the same
 on every machine and never fails for being slow.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persum.cli import _dumps
+from persum.cli import _dumps, main
 from persum.covering import (
     ResidueClass,
     ResidueSystem,
@@ -195,6 +199,32 @@ def test_parse_residue_system_fails_only_with_value_error(text):
         return
     assert isinstance(system, ResidueSystem)
     assert all(0 <= cls.residue < cls.modulus for cls in system.classes)
+
+
+# no 'h': "-h" would print the help and exit 0
+argv_tokens = st.one_of(
+    st.integers().map(str),
+    st.text(st.sampled_from("0123456789-+_ .,x\n\t\u0663\u00b2\uff11"), max_size=6),
+)
+
+
+@settings(FIXED, max_examples=200)
+@given(token=argv_tokens)
+@example(token="-\u0663")
+@example(token="-0")
+@example(token="007")
+def test_cli_takes_an_argv_integer_exactly_when_it_is_ascii_decimal(token):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["extrapolate", "--periods", "1", "--initial", "0", "--at", token])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    if re.fullmatch("-?[0-9]+", token):
+        assert code == 0, err.getvalue()
+        assert json.loads(out.getvalue())["x"] == str(int(token))
+    else:
+        assert (code, out.getvalue()) == (2, "")
 
 
 # The trees the CLI writes: str-keyed dicts, lists, strings and booleans.

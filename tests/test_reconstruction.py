@@ -270,6 +270,19 @@ def test_extrapolate_from_period_system_reads_the_table_row():
         extrapolate(PeriodSystem((2, 3)), (1, 2, 3, ModInt(1, 5)), 0)
 
 
+def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
+    # the powmod is the costly step; on (999983,) a one-value request used to
+    # run it in full before the count was compared with l
+    def refuse(*args):
+        raise AssertionError("computed the row before checking the initial values")
+
+    monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
+    with pytest.raises(ValueError, match="expected 7 initial values, got 1"):
+        extrapolate(PeriodSystem((7,)), [1], 5)
+    with pytest.raises(ValueError, match="mixed group realizations"):
+        extrapolate(PeriodSystem((2,)), [1, ModInt(1, 5)], 5)
+
+
 def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a spectrum to answer one row")
