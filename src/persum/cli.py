@@ -17,6 +17,7 @@ import argparse
 import json  # noqa: F401  perfbench/tracing.py traces persum.cli.json.dumps by name
 import math
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -185,13 +186,19 @@ def cmd_charpoly(args) -> dict:
 
 def cmd_coeffs(args) -> dict | None:
     ps = PeriodSystem(tuple(args.periods))
-    table = coefficient_table(ps, max_rows=args.max_rows)
-    doc = table_to_json_dict(table)
+    doc = table_to_json_dict(coefficient_table(ps, max_rows=args.max_rows))
     if args.out:
         text = _dumps(doc)
-        with open(args.out, "w") as fh:
+        # Write over the old bytes, then cut the file to length. Opening with
+        # "w" would truncate to zero first, and ext4 sends a file truncated to
+        # zero and rewritten to disk when it is closed, so the next overwrite
+        # of it waits for that write: 50-100 ms per table instead of 0.01 ms.
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
             fh.write("\n")
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+                fh.truncate()
         return None
     return doc
 

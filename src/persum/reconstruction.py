@@ -263,6 +263,8 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     """The table as a JSON-ready document; every number is a decimal string."""
     recurrence = table.recurrence
     charpoly = [-a for a in reversed(recurrence)] + [1]
+    # a table holds few distinct values, so its cells share one string each
+    cell = {c: str(c) for c in set().union(*table.rows)}.__getitem__
     return {
         "periods": [str(n) for n in table.periods],
         "N": str(table.modulus),
@@ -270,7 +272,7 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
         "spectrum": [fraction_str(q) for q in build_spectrum(table.system).elements],
         "charpoly": [str(c) for c in charpoly],
         "recurrence": [str(a) for a in recurrence],
-        "rows": [[str(c) for c in row] for row in table.rows],
+        "rows": [list(map(cell, row)) for row in table.rows],
     }
 
 

@@ -129,6 +129,23 @@ def test_coeffs_out_file(tmp_path, capsys):
     assert table_from_json_dict(doc) == coefficient_table(PeriodSystem((2, 3)))
 
 
+def test_coeffs_out_writes_over_a_longer_file_and_cuts_it(tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "coeffs", "2", "3", "--out", str(fresh))[0] == 0
+    target = tmp_path / "table.json"
+    target.write_text("x" * 100_000)
+    inode = target.stat().st_ino
+    code, out, err = run(capsys, "coeffs", "2", "3", "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode
+
+
+def test_coeffs_out_to_a_device(capsys):
+    code, out, err = run(capsys, "coeffs", "2", "3", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
 class _JsonWithoutDumps:
     """Stands in for the json module inside persum.cli; dumps refuses."""
 
