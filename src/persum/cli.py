@@ -8,6 +8,8 @@ Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
 commas alone, as in 1,-2.
+`main` builds only the parser of the subcommand its argv names, and
+`--help` and every message are the same as the full parser's.
 Exit codes: 0 success, 2 usage or parse error, 3 resource cap exceeded.
 """
 
@@ -51,11 +53,17 @@ from .spectrum import (
 )
 
 
-def positive_int(text: str) -> int:
+def integer(text: str) -> int:
+    """argparse type for an integer option: `strict_int`, with the one message
+    argparse prints for every malformed argv integer."""
     try:
-        value = strict_int(text)
+        return strict_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -77,24 +85,12 @@ class _SignedValueMatcher:
         return token[1:2].isdecimal()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="persum",
-        description="Exact spectra, reconstruction tables, and covering-system checks "
-        "for sums of periodic maps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="enumerate a period list's spectrum and its size")
+def _periods_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("periods", nargs="+", type=positive_int, metavar="PERIOD")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial of the spectrum")
-    p.add_argument("periods", nargs="+", type=positive_int, metavar="PERIOD")
-    p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("coeffs", help="emit the full reconstruction coefficient table")
-    p.add_argument("periods", nargs="+", type=positive_int, metavar="PERIOD")
+def _coeffs_arguments(p: argparse.ArgumentParser) -> None:
+    _periods_arguments(p)
     p.add_argument("--out", metavar="PATH", help="write the JSON document here instead of stdout")
     p.add_argument(
         "--max-rows",
@@ -102,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_ROWS,
         help=f"row cap before giving up (default {DEFAULT_MAX_ROWS})",
     )
-    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("extrapolate", help="reconstruct a value from initial values")
+
+def _extrapolate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--periods", nargs="+", type=positive_int, required=True, metavar="PERIOD")
     p.add_argument(
         "--initial",
@@ -113,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VALUE",
         help="the map's values at 0..l-1; with --vec each value is d comma-separated ints",
     )
-    p.add_argument("--at", type=strict_int, required=True, metavar="X", help="argument to reconstruct at")
+    p.add_argument("--at", type=integer, required=True, metavar="X", help="argument to reconstruct at")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--int", dest="group_int", action="store_true", help="plain integers (default)")
     group.add_argument("--mod", type=positive_int, metavar="M", help="integers mod M")
     group.add_argument("--vec", type=positive_int, metavar="D", help="integer vectors of dimension D")
     p._negative_number_matcher = _SignedValueMatcher
-    p.set_defaults(func=cmd_extrapolate)
 
-    p = sub.add_parser("cover", help="covering-multiplicity window checks")
+
+def _cover_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", nargs="?", help="residue system file, or - for stdin")
     p.add_argument(
         "--classes",
@@ -129,31 +125,49 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="'A mod N'",
         help="inline residue classes instead of a file",
     )
-    p.add_argument("--start", type=strict_int, default=0, help="first x of the inspected window")
+    p.add_argument("--start", type=integer, default=0, help="first x of the inspected window")
     p.add_argument("--odd", action="store_true", help="test for an odd cover")
     p.add_argument(
         "--check",
         nargs=2,
-        type=strict_int,
+        type=integer,
         metavar=("M", "A"),
         help="test whether every multiplicity lies in A (mod M)",
     )
     p.add_argument(
         "--gcd-window",
         nargs=2,
-        type=strict_int,
+        type=integer,
         metavar=("A", "B"),
         help="gcd of multiplicity(A+r)+B over the window",
     )
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("finewilf", help="difference gcd of two integer periodic maps")
-    p.add_argument("--first", nargs="+", type=strict_int, required=True, metavar="V")
-    p.add_argument("--second", nargs="+", type=strict_int, required=True, metavar="V")
+
+def _finewilf_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--first", nargs="+", type=integer, required=True, metavar="V")
+    p.add_argument("--second", nargs="+", type=integer, required=True, metavar="V")
     p.add_argument("--first-period", type=positive_int, help="declared period (default: count)")
     p.add_argument("--second-period", type=positive_int, help="declared period (default: count)")
-    p.set_defaults(func=cmd_finewilf)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with all six subcommands, or with `command`'s alone, both
+    built from `_COMMANDS`. A one-command parser's subcommand metavar lists
+    every name, so its usage line is the full parser's. The full parser
+    leaves it unset: argparse names the action by it in the "invalid choice"
+    and "required" errors, which only the full parser can raise."""
+    parser = argparse.ArgumentParser(
+        prog="persum",
+        description="Exact spectra, reconstruction tables, and covering-system checks "
+        "for sums of periodic maps.",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -310,6 +324,18 @@ def cmd_finewilf(args) -> dict:
     }
 
 
+# name -> (help, the function that adds its arguments, its handler), in the
+# order `persum --help` lists them
+_COMMANDS = {
+    "spectrum": ("enumerate a period list's spectrum and its size", _periods_arguments, cmd_spectrum),
+    "charpoly": ("characteristic polynomial of the spectrum", _periods_arguments, cmd_charpoly),
+    "coeffs": ("emit the full reconstruction coefficient table", _coeffs_arguments, cmd_coeffs),
+    "extrapolate": ("reconstruct a value from initial values", _extrapolate_arguments, cmd_extrapolate),
+    "cover": ("covering-multiplicity window checks", _cover_arguments, cmd_cover),
+    "finewilf": ("difference gcd of two integer periodic maps", _finewilf_arguments, cmd_finewilf),
+}
+
+
 def _dumps(doc) -> str:
     """The text of `json.dumps(doc, indent=2)` for a tree of str-keyed dicts,
     lists, strings and booleans; any other value raises TypeError.
@@ -366,8 +392,11 @@ def _write(value, indent: str, parts: list[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the named subcommand's parser alone: the other five cost a fresh process about 2 ms
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         doc = args.func(args)
     except TableSizeError as exc:

@@ -276,6 +276,18 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     }
 
 
+class _CellReader(dict):
+    """`strict_int` of a table cell, read once per distinct string. Only
+    strings are kept: True == 1 and they hash alike, so a kept int would
+    let a true cell pass as 1."""
+
+    def __missing__(self, cell):
+        value = strict_int(cell)
+        if type(cell) is str:
+            self[cell] = value
+        return value
+
+
 def table_from_json_dict(doc: dict) -> CoefficientTable:
     """Rebuild a table from its JSON document, verifying it first.
 
@@ -293,7 +305,8 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
         elements = tuple(parse_fraction(s) for s in doc["spectrum"])
         charpoly = [strict_int(s) for s in doc["charpoly"]]
         recurrence = tuple(strict_int(s) for s in doc["recurrence"])
-        rows = tuple(tuple(strict_int(s) for s in row) for row in doc["rows"])
+        cell = _CellReader().__getitem__
+        rows = tuple(tuple(map(cell, row)) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed table document: {exc}") from exc
     if len(recurrence) != width or len(elements) != width:

@@ -16,8 +16,7 @@ import persum
 import persum.cli
 import persum.covering
 import persum.reconstruction
-from persum.cli import main, positive_int
-from persum.numth import strict_int
+from persum.cli import integer, main, positive_int
 from persum.reconstruction import (
     coefficient_table,
     extrapolate,
@@ -341,7 +340,7 @@ def test_no_integer_option_bypasses_the_strict_reader():
     for name, parser in subparsers.choices.items():
         for action in parser._actions:
             assert action.type is not int, (name, action.dest)
-            assert action.type in (None, strict_int, positive_int), (name, action.dest)
+            assert action.type in (None, integer, positive_int), (name, action.dest)
 
 
 @pytest.mark.parametrize("site", ARGV_INTEGER_SITES)
@@ -357,7 +356,75 @@ def test_every_argv_integer_site_refuses_what_int_would_take(capsys, site, token
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert repr(token) in err
+    # one message per kind of site: argparse's for options, the handler's for --initial
+    assert ("bad initial value:" if site.startswith("initial-") else "expected an integer, got") in err
     assert "Traceback" not in err
+
+
+# argv that argparse itself answers, each with an exit: help, a missing or bad
+# command, a missing required argument, an unknown option, a bad type
+PARSER_EXITS = [
+    [], ["--help"], ["-h", "spectrum"], ["nope"], ["nope", "--help"], ["--bogus", "spectrum", "4"],
+    *([command, "--help"] for command in ("spectrum", "charpoly", "coeffs", "extrapolate", "cover", "finewilf")),
+    ["spectrum"], ["spectrum", "4", "--bogus"],
+    ["charpoly"], ["charpoly", "4", "--bogus"],
+    ["coeffs"], ["coeffs", "4", "--bogus"], ["coeffs", "4", "--max-rows", "x"],
+    ["extrapolate", "--periods", "2", "--initial", "1", "2"],
+    ["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--bogus"],
+    ["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--mod", "2", "--vec", "2"],
+    ["extrapolate", "--periods", "0", "--initial", "1", "--at", "3"],
+    ["cover", "--check", "2"], ["cover", "--classes", "0 mod 2", "--bogus"],
+    ["finewilf", "--first", "1"], ["finewilf", "--first", "1", "--second", "2", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("columns", ["200", "40"])
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_main_answers_parser_exits_as_the_full_parser_does(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)  # 40 compares the wrapped usage lines too
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        return (exc.value.code, *capsys.readouterr())
+
+    assert outcome(main) == outcome(persum.cli.build_parser().parse_args)
+
+
+def test_parser_errors_name_the_command_argument(capsys):
+    # the full parser leaves the subcommand metavar unset, so these two
+    # messages name the argument, not the list of all six subcommands
+    assert run(capsys, "nope")[2].endswith("error: argument command: invalid choice: 'nope' (choose from "
+                                           "'spectrum', 'charpoly', 'coeffs', 'extrapolate', 'cover', 'finewilf')\n")
+    assert run(capsys)[2].endswith("error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize("site", ARGV_INTEGER_SITES)
+def test_one_command_parser_reads_what_the_full_parser_reads(site):
+    argv = [arg.format("1") for arg in ARGV_INTEGER_SITES[site]]
+    one = persum.cli.build_parser(argv[0]).parse_args(argv)
+    assert vars(one) == vars(persum.cli.build_parser().parse_args(argv))
+
+
+def test_main_builds_one_subparser_for_a_request_and_all_six_otherwise(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    commands = {argv[0]: [arg.format("1") for arg in argv] for argv in ARGV_INTEGER_SITES.values()}
+    assert len(commands) == 6
+    for command, argv in commands.items():
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == [command]
+    for argv in (["--help"], ["nope"]):
+        built.clear()
+        assert run(capsys, *argv)[0] in (0, 2)
+        assert sorted(built) == sorted(commands)
 
 
 def test_argv_integers_keep_their_sign_and_size(capsys):

@@ -562,6 +562,19 @@ def test_json_takes_integers_strictly(mutate):
         table_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("as_numbers", [False, True], ids=["string-cells", "number-cells"])
+def test_json_refuses_a_true_cell_beside_cells_equal_to_1(as_numbers):
+    # each distinct cell is read once; True == 1 and they hash alike, so a
+    # reading kept for a 1 cell must not let a true cell through
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+    if as_numbers:
+        doc["rows"] = [[int(c) for c in row] for row in doc["rows"]]
+    assert doc["rows"][4][0] in ("1", 1) and doc["rows"][4][1] in ("1", 1)
+    doc["rows"][4][1] = True
+    with pytest.raises(ValueError, match="malformed table document"):
+        table_from_json_dict(doc)
+
+
 def test_json_takes_integers_as_json_numbers():
     def as_numbers(value):
         return [as_numbers(v) for v in value] if isinstance(value, list) else int(value)
