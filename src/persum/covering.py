@@ -18,23 +18,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .numth import check_positive, strict_int
+from .numth import Record, check_positive, strict_int
 from .reconstruction import PeriodicMap
 from .spectrum import PeriodSystem, size_by_phi
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Record):
     """The arithmetic progression residue + modulus * Z, normalized."""
 
-    residue: int
-    modulus: int
+    __slots__ = ("residue", "modulus")
 
-    def __post_init__(self):
-        check_positive(self.modulus, "modulus")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, residue: int, modulus: int):
+        check_positive(modulus, "modulus")
+        object.__setattr__(self, "residue", residue % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
@@ -49,16 +47,16 @@ class ResidueClass:
         return f"{self.residue} mod {self.modulus}"
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
+class ResidueSystem(Record):
     """A nonempty list of residue classes; duplicates are allowed."""
 
-    classes: tuple[ResidueClass, ...]
+    __slots__ = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.classes:
+    def __init__(self, classes: tuple[ResidueClass, ...]):
+        classes = tuple(classes)
+        if not classes:
             raise ValueError("empty residue system")
+        object.__setattr__(self, "classes", classes)
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -74,13 +72,15 @@ class ResidueSystem:
         return size_by_phi(self.period_system)
 
 
-@dataclass(frozen=True)
-class WindowClassResult:
+class WindowClassResult(Record):
     """Verdict of a multiplicity window test, with the inspected values."""
 
-    ok: bool
-    window: tuple[int, ...]
-    start: int
+    __slots__ = ("ok", "window", "start")
+
+    def __init__(self, ok: bool, window: tuple[int, ...], start: int):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "start", start)
 
     def __bool__(self) -> bool:
         return self.ok

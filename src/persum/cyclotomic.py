@@ -14,10 +14,9 @@ x^2 - x + 1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .numth import check_positive, divisors, gcd_exponents
+from .numth import Record, check_positive, divisors, gcd_exponents
 from .spectrum import PeriodSystem
 
 # Below this many coefficients on either side, schoolbook convolution beats
@@ -25,15 +24,14 @@ from .spectrum import PeriodSystem
 _KRONECKER_CUTOFF = 32
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense integer polynomial; coeffs[i] is the coefficient of x^i.
 
     Trailing zeros are trimmed on construction, so the zero polynomial is
     the empty tuple and the leading coefficient is never 0.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)

@@ -14,21 +14,19 @@ realization never implements multiplication itself. Three ship here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .numth import check_positive
+from .numth import Record, check_int, check_positive
 
 
-@dataclass(frozen=True)
-class ModInt:
+class ModInt(Record):
     """A residue in Z_m, normalized to [0, m)."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        check_positive(self.modulus, "modulus")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        check_positive(modulus, "modulus")
+        check_int(value)
+        object.__setattr__(self, "value", value % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def zero(self) -> ModInt:
         return ModInt(0, self.modulus)
@@ -50,16 +48,18 @@ class ModInt:
         return f"{self.value} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class IntVector:
+class IntVector(Record):
     """An integer vector; addition is componentwise."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("empty vector")
+        for a in entries:
+            check_int(a, "vector entry")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dimension(self) -> int:

@@ -4,12 +4,60 @@ Everything operates on plain Python ints (arbitrary precision), so nothing
 here can overflow. Positive arguments are validated at entry points rather
 than wrapped in a dedicated integer type, and strict_int is the one way
 outside text, on the command line or in a document, becomes an integer.
+
+Record, the immutable base of the package's value classes, lives here too:
+every module imports numth, and a module of its own would cost an import.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
+
+
+class Record:
+    """An immutable value whose fields are its class's __slots__, in
+    constructor order. Equality (same class only), the hash and the repr
+    read the fields; a subclass may name the compared ones with compare=.
+    Its __init__ checks and normalizes its arguments, then stores each with
+    object.__setattr__; unpickling and copying call the constructor again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] = ()):
+        # an attrgetter is no method, so it is called as self._key(self)
+        cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default route would unpickle or copy by assigning each field
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+def check_int(n: int, what: str = "value") -> int:
+    """Return n unchanged, raising ValueError unless it is an int; a bool is not."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    return n
 
 
 def check_positive(n: int, what: str = "value") -> int:

@@ -25,11 +25,10 @@ closure. N is checked against the row cap before any other work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
 from .groups import scale, zero_like
-from .numth import strict_int
+from .numth import Record, strict_int
 from .spectrum import PeriodSystem, build_spectrum, fraction_str, parse_fraction
 
 DEFAULT_MAX_ROWS = 10**6
@@ -45,17 +44,17 @@ def _check_one_group(values) -> None:
         raise ValueError("mixed group realizations")
 
 
-@dataclass(frozen=True)
-class PeriodicMap:
+class PeriodicMap(Record):
     """A map from Z to a group, given by its values at 0, ..., period-1."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, values: tuple):
+        values = tuple(values)
+        if not values:
             raise ValueError("a periodic map needs at least one value")
-        _check_one_group(self.values)
+        _check_one_group(values)
+        object.__setattr__(self, "values", values)
 
     @property
     def period(self) -> int:
@@ -65,17 +64,17 @@ class PeriodicMap:
         return self.values[x % len(self.values)]
 
 
-@dataclass(frozen=True)
-class SumOfPeriodicMaps:
+class SumOfPeriodicMaps(Record):
     """The pointwise group sum of one or more periodic maps."""
 
-    components: tuple[PeriodicMap, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[PeriodicMap, ...]):
+        components = tuple(components)
+        if not components:
             raise ValueError("empty component list")
-        _check_one_group([comp.values[0] for comp in self.components])
+        _check_one_group([comp.values[0] for comp in components])
+        object.__setattr__(self, "components", components)
 
     @property
     def period_system(self) -> PeriodSystem:
@@ -88,19 +87,23 @@ class SumOfPeriodicMaps:
         return acc
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record, compare=("recurrence", "rows")):
     """The N x l reconstruction table for one spectrum.
 
     rows[n][r] is the integer weight of the r-th initial value in the
     reconstructed value at n. system is the period system the table was
-    requested for; it is excluded from equality, since the recurrence fixes
-    the divisor closure and equal closures give identical tables.
+    requested for; it is excluded from equality and the hash, since the
+    recurrence fixes the divisor closure and equal closures give identical
+    tables.
     """
 
-    system: PeriodSystem = field(compare=False)
-    recurrence: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("system", "recurrence", "rows")
+
+    def __init__(self, system: PeriodSystem, recurrence: tuple[int, ...],
+                 rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "recurrence", recurrence)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -121,12 +124,14 @@ class CoefficientTable:
         return self.rows[x % len(self.rows)]
 
 
-@dataclass(frozen=True)
-class ConstancyResult:
+class ConstancyResult(Record):
     """Verdict of a window constancy test, with the constant on success."""
 
-    is_constant: bool
-    constant: object = None
+    __slots__ = ("is_constant", "constant")
+
+    def __init__(self, is_constant: bool, constant: object = None):
+        object.__setattr__(self, "is_constant", is_constant)
+        object.__setattr__(self, "constant", constant)
 
     def __bool__(self) -> bool:
         return self.is_constant
@@ -288,25 +293,34 @@ class _CellReader(dict):
         return value
 
 
+def _list(value) -> list:
+    """value itself if it is a list: a string or an object would otherwise
+    be read as the list of its characters or keys."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def table_from_json_dict(doc: dict) -> CoefficientTable:
     """Rebuild a table from its JSON document, verifying it first.
 
-    Integers are JSON ints or decimal strings. The fields must agree: the
-    charpoly is the recurrence's, N is the lcm of the periods (checked before
-    anything is enumerated), the spectrum is every reduced fraction over the
-    periods' divisor closure, the first l rows are the identity block, each
-    later row is the shift of the one before it, the shift of row N-1 is row
-    0, and the charpoly is the periods'. Any failure raises ValueError.
+    Integers are JSON ints or decimal strings, and every list field and row
+    is a JSON array. The fields must agree: the charpoly is the
+    recurrence's, N is the lcm of the periods (checked before anything is
+    enumerated), the spectrum is every reduced fraction over the periods'
+    divisor closure, the first l rows are the identity block, each later
+    row is the shift of the one before it, the shift of row N-1 is row 0,
+    and the charpoly is the periods'. Any failure raises ValueError.
     """
     try:
-        ps = PeriodSystem(tuple(strict_int(s) for s in doc["periods"]))
+        ps = PeriodSystem(tuple(strict_int(s) for s in _list(doc["periods"])))
         n_rows = strict_int(doc["N"])
         width = strict_int(doc["l"])
-        elements = tuple(parse_fraction(s) for s in doc["spectrum"])
-        charpoly = [strict_int(s) for s in doc["charpoly"]]
-        recurrence = tuple(strict_int(s) for s in doc["recurrence"])
+        elements = tuple(parse_fraction(s) for s in _list(doc["spectrum"]))
+        charpoly = [strict_int(s) for s in _list(doc["charpoly"])]
+        recurrence = tuple(strict_int(s) for s in _list(doc["recurrence"]))
         cell = _CellReader().__getitem__
-        rows = tuple(tuple(map(cell, row)) for row in doc["rows"])
+        rows = tuple(tuple(map(cell, _list(row))) for row in _list(doc["rows"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed table document: {exc}") from exc
     if len(recurrence) != width or len(elements) != width:

@@ -9,24 +9,23 @@ the three to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numth import check_positive, divisors, euler_phi, gcd_exponents, lcm_all, strict_int
+from .numth import Record, check_positive, divisors, euler_phi, gcd_exponents, lcm_all, strict_int
 
 
-@dataclass(frozen=True)
-class PeriodSystem:
+class PeriodSystem(Record):
     """An ordered tuple of positive periods; duplicates are allowed."""
 
-    periods: tuple[int, ...]
+    __slots__ = ("periods",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(self.periods))
-        if not self.periods:
+    def __init__(self, periods: tuple[int, ...]):
+        periods = tuple(periods)
+        if not periods:
             raise ValueError("empty period list")
-        for n in self.periods:
+        for n in periods:
             check_positive(n, "period")
+        object.__setattr__(self, "periods", periods)
 
     def __len__(self) -> int:
         return len(self.periods)
@@ -42,11 +41,13 @@ class PeriodSystem:
         return tuple(sorted({d for n in self.periods for d in divisors(n)}))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Ascending reduced fractions, with the divisor closure as denominators."""
 
-    elements: tuple[Fraction, ...]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple[Fraction, ...]):
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)

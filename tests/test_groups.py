@@ -59,6 +59,20 @@ def test_intvector_rejects_empty_and_mixed():
         IntVector((1, 2)) + IntVector((1, 2, 3))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModInt(1.5, 3),
+    lambda: ModInt("1", 3),
+    lambda: ModInt(True, 3),
+    lambda: IntVector((1.5, "a")),
+    lambda: IntVector((1, 2.0)),
+    lambda: IntVector((False,)),
+], ids=["float", "str", "bool", "vec-float-str", "vec-float", "vec-bool"])
+def test_group_values_take_ints_only(make):
+    # a float or a string would pass into every value reconstructed from it
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 def test_zero_like():
     assert zero_like(5) == 0
     assert zero_like(ModInt(3, 7)) == ModInt(0, 7)

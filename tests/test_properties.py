@@ -157,14 +157,28 @@ def test_a_mutated_table_document_loads_equal_or_raises_value_error(ps, data):
     table = table_for(PeriodSystem(ps))
     doc = copy.deepcopy(table_to_json_dict(table))
     key = data.draw(st.sampled_from(sorted(doc)), label="field")
-    kind = data.draw(st.sampled_from(["delete", "replace", "leaf", "drop", "repeat"]), label="kind")
+    kind = data.draw(st.sampled_from(["delete", "replace", "leaf", "drop", "repeat", "unlist"]), label="kind")
     field = doc[key]
     # the list that holds the leaf or entry to change: the field, or one row
-    holder = field if key != "rows" or data.draw(st.booleans()) else data.draw(st.sampled_from(field))
+    row = None
+    if key == "rows" and (kind == "unlist" or not data.draw(st.booleans())):
+        row = data.draw(st.integers(0, len(field) - 1), label="row")
+    holder = field if row is None else field[row]
     if kind == "delete":
         del doc[key]
     elif kind == "replace" or not isinstance(holder, list) or not holder:
         doc[key] = data.draw(json_values, label="value")
+    elif kind == "unlist":
+        # the same strings joined, or as an object's keys: a loader that
+        # iterated them without checking the type would read the list
+        unlisted = data.draw(st.sampled_from(["".join, dict.fromkeys]), label="container")(holder)
+        if row is None:
+            doc[key] = unlisted
+        else:
+            field[row] = unlisted
+        with pytest.raises(ValueError, match="malformed table document"):
+            table_from_json_dict(doc)
+        return
     else:
         i = data.draw(st.integers(0, len(holder) - 1), label="index")
         if kind == "drop":

@@ -512,6 +512,15 @@ def test_json_rejects_malformed_documents():
         table_from_json_dict(broken)
 
 
+def test_json_takes_list_fields_only_as_arrays():
+    # "23" iterates as "2", "3" and "1000" as row 0 of the (2, 3) table
+    doc = table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+    doc["periods"] = "23"
+    doc["rows"][0] = "1000"
+    with pytest.raises(ValueError, match="malformed table document: expected a list, got str"):
+        table_from_json_dict(doc)
+
+
 @pytest.mark.parametrize(
     "periods, message",
     [
