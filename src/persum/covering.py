@@ -170,15 +170,10 @@ def parse_residue_system(text: str) -> ResidueSystem:
         if not body or body.startswith("#"):
             continue
         parts = body.split()
+        where, form = f"line {lineno}", f"expected 'a mod n', got {line!r}"
         if len(parts) != 3 or parts[1] != "mod":
-            raise ValueError(f"line {lineno}: expected 'a mod n', got {line!r}")
-        try:
-            residue, modulus = strict_int(parts[0]), strict_int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected 'a mod n', got {line!r}") from None
-        if modulus < 1:
-            raise ValueError(f"line {lineno}: modulus must be positive, got {modulus}")
-        classes.append(ResidueClass(residue, modulus))
+            raise ValueError(f"{where}: {form}")
+        classes.append(_read_class(parts[0], parts[2], where, form))
     if not classes:
         raise ValueError("no residue classes found")
     return ResidueSystem(tuple(classes))
@@ -193,13 +188,20 @@ def _parse_json_system(text: str) -> ResidueSystem:
         raise ValueError("JSON residue system must be a nonempty array of [a, n] pairs")
     classes = []
     for i, pair in enumerate(data):
+        where, form = f"entry {i}", f"expected an [a, n] pair, got {pair!r}"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"entry {i}: expected an [a, n] pair, got {pair!r}")
-        try:
-            residue, modulus = (strict_int(v) for v in pair)
-        except ValueError:
-            raise ValueError(f"entry {i}: expected an [a, n] pair, got {pair!r}") from None
-        if modulus < 1:
-            raise ValueError(f"entry {i}: modulus must be positive, got {modulus}")
-        classes.append(ResidueClass(residue, modulus))
+            raise ValueError(f"{where}: {form}")
+        classes.append(_read_class(*pair, where, form))
     return ResidueSystem(tuple(classes))
+
+
+def _read_class(residue, modulus, where: str, form: str) -> ResidueClass:
+    """The class of two strict integers; errors start with where, and form
+    is the complaint when either is not an integer."""
+    try:
+        residue, modulus = strict_int(residue), strict_int(modulus)
+    except ValueError:
+        raise ValueError(f"{where}: {form}") from None
+    if modulus < 1:
+        raise ValueError(f"{where}: modulus must be positive, got {modulus}")
+    return ResidueClass(residue, modulus)

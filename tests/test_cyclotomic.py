@@ -126,6 +126,16 @@ def test_kronecker_route_matches_schoolbook():
         got = IntPolynomial(tuple(a)) * IntPolynomial(tuple(b))
         expect = IntPolynomial(tuple(schoolbook_mul(a, b)))
         assert got == expect
+    # the packed route itself, below the cutoff too: from one byte per
+    # digit up to digits of many bytes
+    for size in range(1, 121):
+        for magnitude in (1, 127, 10**30):
+            a = [rng.randint(-magnitude, magnitude) for _ in range(size)]
+            b = [rng.randint(-magnitude, magnitude) for _ in range(rng.randint(1, 120))]
+            assert persum.cyclotomic._kronecker_mul(a, b) == schoolbook_mul(a, b)
+    a = [rng.randint(-10**30, 10**30) for _ in range(2000)]
+    b = [rng.randint(-10**30, 10**30) for _ in range(2000)]
+    assert persum.cyclotomic._kronecker_mul(a, b) == schoolbook_mul(a, b)
 
 
 def test_divmod_exact_examples():

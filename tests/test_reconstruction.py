@@ -257,12 +257,16 @@ def test_extrapolate_errors():
 
 def test_extrapolate_from_period_system_reads_the_table_row():
     rng = random.Random(48)
-    for _ in range(40):
-        ps = PeriodSystem(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
+    systems = [PeriodSystem(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
+               for _ in range(40)]
+    # l = 1; N = l; l = 16, at the Kronecker cutoff; l = 32; l = 88
+    systems += [PeriodSystem(p) for p in ((1,), (7,), (16,), (16, 24), (24, 40, 60))]
+    for ps in systems:
         t = coefficient_table(ps)
-        for _ in range(5):
+        n = t.modulus
+        # exponents 0 and N-1 are the edges of the left-to-right powering
+        for x in (0, -1, n - 1, n, *(rng.randint(-3 * n, 3 * n) for _ in range(5))):
             initial = [rng.randint(-9, 9) for _ in range(t.width)]
-            x = rng.randint(-3 * t.modulus, 3 * t.modulus)
             assert extrapolate(ps, initial, x) == extrapolate(t, initial, x)
     with pytest.raises(ValueError):
         extrapolate(PeriodSystem((2, 3)), (1, 2, 3), 0)
@@ -600,13 +604,21 @@ def test_json_rejects_a_corrupt_identity_entry():
     doc["rows"][1] = ["0", "1", "0", "1"]
     with pytest.raises(ValueError, match="identity block"):
         table_from_json_dict(doc)
+    # on (4, 6), l = 8: rows 0 and 7 are the first and last of the block
+    for n in (0, 7):
+        doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
+        doc["rows"][n][-1] = str(int(doc["rows"][n][-1]) + 1)
+        with pytest.raises(ValueError, match="identity block"):
+            table_from_json_dict(doc)
 
 
 def test_json_rejects_a_corrupt_recurrence_row():
-    doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
-    doc["rows"][9][2] = str(int(doc["rows"][9][2]) + 1)
-    with pytest.raises(ValueError, match="row 9 is not the shift of row 8"):
-        table_from_json_dict(doc)
+    # on (4, 6), l = 8: row 8 is the first row past the identity block
+    for n in (8, 9):
+        doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
+        doc["rows"][n][2] = str(int(doc["rows"][n][2]) + 1)
+        with pytest.raises(ValueError, match=f"row {n} is not the shift of row {n - 1}"):
+            table_from_json_dict(doc)
     # the last row is checked against the wrap as well as its predecessor
     doc = table_to_json_dict(coefficient_table(PeriodSystem((4, 6))))
     doc["rows"][-1][0] = str(int(doc["rows"][-1][0]) - 1)
@@ -633,6 +645,11 @@ def test_json_rejects_a_broken_wrap_around():
     # x^4 - 1 does not divide x^6 - 1, so row 5 does not shift back to row 0
     doc = consistent_document(coefficient_table(PeriodSystem((2, 3))), IntPolynomial((-1, 0, 0, 0, 1)))
     with pytest.raises(ValueError, match="row N-1 is not row 0"):
+        table_from_json_dict(doc)
+    # N = l on (7,): every row is in the identity block, so only the wrap
+    # can fail, and x^7 + 1 does not divide x^7 - 1
+    doc = consistent_document(coefficient_table(PeriodSystem((7,))), IntPolynomial((1, 0, 0, 0, 0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="the shift of row N-1 is not row 0"):
         table_from_json_dict(doc)
 
 
