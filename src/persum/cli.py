@@ -3,7 +3,9 @@
 All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
-`json.dumps(doc, indent=2)` plus a newline, written by one writer, `_dumps`.
+`json.dumps(doc, indent=2)` plus a newline. A `coeffs` table is written row
+by row, straight from its integer rows, by `_table_pieces`; every other
+document, and the fields of a table before its rows, by `_dumps`.
 Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
@@ -21,6 +23,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -42,7 +45,9 @@ from .reconstruction import (
     extrapolate,
     finewilf_difference_gcd,
     finewilf_window,
-    table_to_json_dict,
+    table_json_fields,
+    # not called here; perfbench/tracing.py wraps persum.cli.table_to_json_dict by name
+    table_to_json_dict,  # noqa: F401
 )
 from .spectrum import (
     PeriodSystem,
@@ -198,23 +203,22 @@ def cmd_charpoly(args) -> dict:
     }
 
 
-def cmd_coeffs(args) -> dict | None:
+def cmd_coeffs(args) -> Iterator[str] | None:
     ps = PeriodSystem(tuple(args.periods))
-    doc = table_to_json_dict(coefficient_table(ps, max_rows=args.max_rows))
+    pieces = _table_pieces(coefficient_table(ps, max_rows=args.max_rows))
     if args.out:
-        text = _dumps(doc)
         # Write over the old bytes, then cut the file to length. Opening with
         # "w" would truncate to zero first, and ext4 sends a file truncated to
         # zero and rewritten to disk when it is closed, so the next overwrite
         # of it waits for that write: 50-100 ms per table instead of 0.01 ms.
         fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
             fh.write("\n")
             if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
                 fh.truncate()
         return None
-    return doc
+    return pieces
 
 
 def cmd_extrapolate(args) -> dict:
@@ -350,6 +354,30 @@ def _dumps(doc) -> str:
     return "".join(parts)
 
 
+class _QuotedCell(dict):
+    """The JSON token of a table cell, its quoted decimal string, made once
+    per distinct value: a table holds few."""
+
+    def __missing__(self, cell: int) -> str:
+        token = self[cell] = f'"{cell}"'
+        return token
+
+
+def _table_pieces(table) -> Iterator[str]:
+    """The text of `_dumps(table_to_json_dict(table))`, in pieces: the
+    fields before the rows by `_dumps`, then one piece per row, joined
+    straight from its integers. No list of cell strings and no whole text
+    is built: writing holds one row's text beside the table."""
+    head = _dumps(table_json_fields(table))
+    yield head[: -len("\n}")] + ',\n  "rows": ['
+    token = _QuotedCell().__getitem__
+    sep = "\n    [\n      "
+    for row in table.rows:
+        yield sep + ",\n      ".join(map(token, row))
+        sep = "\n    ],\n    [\n      "
+    yield "\n    ]\n  ]\n}"
+
+
 def _write(value, indent: str, parts: list[str]) -> None:
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -398,7 +426,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        doc = args.func(args)
+        doc = args.func(args)  # a document, or the pieces of one, or None once written
     except TableSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -407,7 +435,10 @@ def main(argv=None) -> int:
         return 2
     try:
         if doc is not None:
-            print(_dumps(doc), flush=True)
+            out = sys.stdout
+            out.writelines([_dumps(doc)] if isinstance(doc, dict) else doc)
+            out.write("\n")
+            out.flush()
     except BrokenPipeError:
         # reader gone: exit 2 as for an unwritable --out; devnull quiets the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

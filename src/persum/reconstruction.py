@@ -19,7 +19,12 @@ extrapolate computes by powering left to right with x as the multiplier
 
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
-closure. N is checked against the row cap before any other work.
+closure. Before any other work, N is checked against the row cap and then
+N*l against the cell cap, DEFAULT_MAX_CELLS; l comes from the signed gcd
+counts of the periods, with no factoring. The cell cap holds a request such
+as the single period 999983 (under the row cap, but 10^12 cells) to a table
+whose rows fit in memory: each cell costs a table about 8 bytes, a pointer
+to an int shared with the other cells of its value.
 """
 
 from __future__ import annotations
@@ -29,13 +34,20 @@ import math
 from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
 from .groups import scale, zero_like
 from .numth import Record, strict_int
-from .spectrum import PeriodSystem, build_spectrum, fraction_str, parse_fraction
+from .spectrum import (
+    PeriodSystem,
+    build_spectrum,
+    fraction_str,
+    parse_fraction,
+    size_by_inclusion_exclusion,
+)
 
 DEFAULT_MAX_ROWS = 10**6
+DEFAULT_MAX_CELLS = 5 * 10**7
 
 
 class TableSizeError(ValueError):
-    """The requested table would exceed the row cap."""
+    """The requested table would exceed the row or the cell cap."""
 
 
 def _check_one_group(values) -> None:
@@ -175,11 +187,17 @@ def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> Coe
     """Build the full reconstruction table for a period system.
 
     Row 0 is x^0 = (1, 0, ..., 0) and each later row is one O(l) shift of
-    the row before it. Raises TableSizeError when N exceeds max_rows, before
-    anything else is computed; the default cap keeps a runaway lcm from
-    thrashing memory.
+    the row before it. Raises TableSizeError when N exceeds max_rows, and
+    then when N*l exceeds DEFAULT_MAX_CELLS, before anything else is
+    computed; the caps keep a runaway lcm or spectrum from thrashing memory.
     """
     n_rows = _checked_modulus(ps, max_rows)
+    width = size_by_inclusion_exclusion(ps)
+    if n_rows * width > DEFAULT_MAX_CELLS:
+        raise TableSizeError(
+            f"table too large: {n_rows} rows of {width} cells exceed the cap of "
+            f"{DEFAULT_MAX_CELLS} cells"
+        )
     coeffs = recurrence_coeffs(characteristic_poly(ps))
     tail = coeffs[::-1]
     rows = [(1,) + (0,) * (len(coeffs) - 1)]
@@ -260,12 +278,11 @@ def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     return math.gcd(*(g(r) - h(r) for r in range(finewilf_window(g.period, h.period))))
 
 
-def table_to_json_dict(table: CoefficientTable) -> dict:
-    """The table as a JSON-ready document; every number is a decimal string."""
+def table_json_fields(table: CoefficientTable) -> dict:
+    """Every field of the table's JSON document but the last, its rows, in
+    document order; every number is a decimal string."""
     recurrence = table.recurrence
     charpoly = [-a for a in reversed(recurrence)] + [1]
-    # a table holds few distinct values, so its cells share one string each
-    cell = {c: str(c) for c in set().union(*table.rows)}.__getitem__
     return {
         "periods": [str(n) for n in table.periods],
         "N": str(table.modulus),
@@ -273,8 +290,14 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
         "spectrum": [fraction_str(q) for q in build_spectrum(table.system).elements],
         "charpoly": [str(c) for c in charpoly],
         "recurrence": [str(a) for a in recurrence],
-        "rows": [list(map(cell, row)) for row in table.rows],
     }
+
+
+def table_to_json_dict(table: CoefficientTable) -> dict:
+    """The table as a JSON-ready document; every number is a decimal string."""
+    # a table holds few distinct values, so its cells share one string each
+    cell = {c: str(c) for c in set().union(*table.rows)}.__getitem__
+    return {**table_json_fields(table), "rows": [list(map(cell, row)) for row in table.rows]}
 
 
 class _CellReader(dict):

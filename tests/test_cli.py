@@ -170,6 +170,11 @@ def test_every_document_has_the_bytes_of_json_dumps_without_calling_it(tmp_path,
         expect[argv[0]] = json.dumps(args.func(args), indent=2) + "\n"
 
     monkeypatch.setattr(persum.cli, "json", _JsonWithoutDumps())
+
+    def refuse(table):
+        raise AssertionError("persum.cli called table_to_json_dict")
+
+    monkeypatch.setattr(persum.cli, "table_to_json_dict", refuse)
     target = tmp_path / "table.json"
     code, out, err = run(capsys, "coeffs", "60", "84", "90", "--out", str(target))
     assert (code, out, err) == (0, "", "")
@@ -282,6 +287,18 @@ def test_row_cap_exits_3_before_any_work(capsys):
         assert code == 3
         assert out == ""
         assert "table too large" in err
+
+
+def test_cell_cap_exits_3_before_any_work(tmp_path, capsys):
+    # 999983 rows pass the row cap, but l = 999983 makes 10^12 cells
+    target = tmp_path / "table.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coeffs", "999983", "--out", str(target))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: table too large")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_extrapolate_wrong_count(capsys):

@@ -2,7 +2,8 @@
 random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
 counting, the two parsers of outside input fail only with ValueError, the
 CLI takes an integer exactly when it is ASCII digits after an optional '-',
-and the CLI's JSON writer writes the bytes of `json.dumps(indent=2)`.
+and the CLI's JSON writer and its row-by-row table writer write the bytes of
+`json.dumps(indent=2)`.
 
 Every test runs derandomized and without a deadline, so a run is the same
 on every machine and never fails for being slow.
@@ -14,7 +15,9 @@ import functools
 import io
 import json
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,7 @@ from persum.covering import (
     parse_residue_system,
 )
 from persum.groups import IntVector, ModInt, zero_like
+from persum.numth import divisors
 from persum.reconstruction import (
     PeriodicMap,
     SumOfPeriodicMaps,
@@ -273,3 +277,31 @@ def test_cli_writer_matches_json_dumps_indent_2(tree):
 def test_cli_writer_refuses_a_non_string_scalar(tree):
     with pytest.raises(TypeError):
         _dumps(tree)
+
+
+@st.composite
+def small_systems(draw):
+    """k <= 3 periods with lcm N <= 600: each period divides a drawn N."""
+    n = draw(st.integers(1, 600), label="N")
+    return tuple(draw(st.lists(st.sampled_from(divisors(n)), min_size=1, max_size=3), label="periods"))
+
+
+@settings(FIXED, max_examples=40)
+@given(ps=small_systems())
+@example(ps=(1,))
+@example(ps=(7,))
+@example(ps=(2, 3))
+@example(ps=(60, 84, 90))
+def test_coeffs_stdout_and_out_file_have_the_bytes_of_json_dumps(ps):
+    expect = json.dumps(table_to_json_dict(coefficient_table(PeriodSystem(ps))), indent=2) + "\n"
+    argv = ["coeffs", *map(str, ps)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == expect
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "table.json"
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_text() == expect
+    assert out.getvalue() == expect  # --out printed nothing

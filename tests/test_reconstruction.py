@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+import persum.cyclotomic
 import persum.reconstruction
+import persum.spectrum
 from persum.cyclotomic import IntPolynomial, characteristic_poly, cyclotomic_poly
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
@@ -198,6 +200,33 @@ def test_table_size_cap_checked_before_any_work(monkeypatch):
         extrapolate(huge, (1,), 5)
     with pytest.raises(TableSizeError):
         coefficient_table(PeriodSystem((2, 3)), max_rows=5)
+
+
+def test_cell_cap_checked_after_the_row_cap_and_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed past the cell cap")
+
+    for module, name in (
+        (persum.reconstruction, "characteristic_poly"),
+        (persum.reconstruction, "build_spectrum"),
+        (persum.cyclotomic, "divisors"),
+        (persum.spectrum, "divisors"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    # under the row cap, but N * l = 999983^2 cells
+    with pytest.raises(TableSizeError, match="table too large: 999983 rows of 999983 cells"):
+        coefficient_table(PeriodSystem((999983,)))
+    with pytest.raises(TableSizeError, match="table too large: 999983 rows exceed the cap of 10$"):
+        coefficient_table(PeriodSystem((999983,)), max_rows=10)
+
+
+def test_cell_cap_bounds_n_times_l(monkeypatch):
+    # (2, 3): N = 6 rows of l = 4 cells
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 24)
+    assert coefficient_table(PeriodSystem((2, 3))).rows == TABLE_2_3_ROWS
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 23)
+    with pytest.raises(TableSizeError, match="table too large"):
+        coefficient_table(PeriodSystem((2, 3)))
 
 
 def test_table_recurrence_matches_characteristic_poly():
