@@ -12,7 +12,8 @@ or another script's digit exits 2. A --vec value joins its entries with
 commas alone, as in 1,-2.
 `main` builds only the parser of the subcommand its argv names, and
 `--help` and every message are the same as the full parser's.
-Exit codes: 0 success, 2 usage or parse error, 3 resource cap exceeded.
+Exit codes: 0 success, 2 usage or parse error, 3 a table, spectrum or single
+row over its cap (`reconstruction`), refused before any other work.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .cyclotomic import characteristic_poly
 from .groups import IntVector, ModInt
 from .numth import strict_int
 from .reconstruction import (
-    DEFAULT_MAX_ROWS,
     PeriodicMap,
     TableSizeError,
+    check_size,
     coefficient_table,
     extrapolate,
     finewilf_difference_gcd,
@@ -97,12 +98,6 @@ def _periods_arguments(p: argparse.ArgumentParser) -> None:
 def _coeffs_arguments(p: argparse.ArgumentParser) -> None:
     _periods_arguments(p)
     p.add_argument("--out", metavar="PATH", help="write the JSON document here instead of stdout")
-    p.add_argument(
-        "--max-rows",
-        type=positive_int,
-        default=DEFAULT_MAX_ROWS,
-        help=f"row cap before giving up (default {DEFAULT_MAX_ROWS})",
-    )
 
 
 def _extrapolate_arguments(p: argparse.ArgumentParser) -> None:
@@ -178,6 +173,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def cmd_spectrum(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
+    check_size(ps)
     sp = build_spectrum(ps)
     sizes = (len(sp.elements), size_by_phi(ps), size_by_inclusion_exclusion(ps))
     return {
@@ -194,6 +190,7 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_charpoly(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
+    check_size(ps)
     poly = characteristic_poly(ps)
     return {
         "periods": [str(n) for n in ps.periods],
@@ -205,7 +202,7 @@ def cmd_charpoly(args) -> dict:
 
 def cmd_coeffs(args) -> Iterator[str] | None:
     ps = PeriodSystem(tuple(args.periods))
-    pieces = _table_pieces(coefficient_table(ps, max_rows=args.max_rows))
+    pieces = _table_pieces(coefficient_table(ps))
     if args.out:
         # Write over the old bytes, then cut the file to length. Opening with
         # "w" would truncate to zero first, and ext4 sends a file truncated to
@@ -274,6 +271,7 @@ def cmd_cover(args) -> dict:
     system = _load_system(args)
     if args.check is not None and args.check[0] < 1:
         raise ValueError(f"check modulus must be positive, got {args.check[0]}")
+    check_size(system.period_system)
     length = system.window_length()
     window = multiplicity_window(system, args.start, length)
     doc = {

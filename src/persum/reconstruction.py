@@ -19,12 +19,11 @@ extrapolate computes by powering left to right with x as the multiplier
 
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
-closure. Before any other work, N is checked against the row cap and then
-N*l against the cell cap, DEFAULT_MAX_CELLS; l comes from the signed gcd
-counts of the periods, with no factoring. The cell cap holds a request such
-as the single period 999983 (under the row cap, but 10^12 cells) to a table
-whose rows fit in memory: each cell costs a table about 8 bytes, a pointer
-to an int shared with the other cells of its value.
+closure. One rule sizes a table, before any other work: N*l cells at most
+DEFAULT_MAX_CELLS (see check_size), each about 8 bytes, a pointer to an
+int shared with the other cells of its value. As l >= 1 + sum(q - 1) over
+the prime powers q exactly dividing N, no N above 360360 has l <= 50, so
+the rule also refuses every N above 10^6.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ DEFAULT_MAX_CELLS = 5 * 10**7
 
 
 class TableSizeError(ValueError):
-    """The requested table would exceed the row or the cell cap."""
+    """The requested table, spectrum or row would exceed its cap."""
 
 
 def _check_one_group(values) -> None:
@@ -161,12 +160,31 @@ def recurrence_coeffs(p: IntPolynomial) -> tuple[int, ...]:
     return tuple(-p.coeffs[l - j] for j in range(1, l + 1))
 
 
-def _checked_modulus(ps: PeriodSystem, max_rows: int) -> int:
-    """N = lcm(periods), or TableSizeError when N exceeds max_rows."""
-    n_rows = ps.modulus
-    if n_rows > max_rows:
-        raise TableSizeError(f"table too large: {n_rows} rows exceed the cap of {max_rows}")
-    return n_rows
+def _count(n: int) -> str:
+    """n in decimal, or its size in bits when n is above 2^64: a message
+    stays one short line however large the request."""
+    return str(n) if n <= 2**64 else f"at least 2^{n.bit_length() - 1}"
+
+
+def check_size(ps: PeriodSystem, rows: int | None = None) -> None:
+    """TableSizeError unless rows*l is at most DEFAULT_MAX_CELLS, for l the
+    spectrum size of ps (rows=None sizes the spectrum alone). Each element is
+    an r/n with 0 <= r < n for some period n, distinct for one n, so
+    max(periods) <= l <= sum(periods): the bounds settle most requests in
+    O(k), a huge period or N at once, and l is counted from gcds only between.
+    """
+    if rows is None:
+        factor, what = 1, "spectrum too large: {} elements"
+    else:
+        factor, what = rows, f"table too large: {_count(rows)} rows of {{}} cells"
+    cap = f" exceed the cap of {DEFAULT_MAX_CELLS}"
+    least = max(ps.periods)
+    if factor * least > DEFAULT_MAX_CELLS:
+        raise TableSizeError(what.format(_count(least)) + " or more" + cap)
+    if factor * sum(ps.periods) > DEFAULT_MAX_CELLS:
+        width = size_by_inclusion_exclusion(ps)
+        if factor * width > DEFAULT_MAX_CELLS:
+            raise TableSizeError(what.format(_count(width)) + cap)
 
 
 def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,21 +201,16 @@ def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([top * a + r for a, r in zip(tail, shifted)])
 
 
-def coefficient_table(ps: PeriodSystem, max_rows: int = DEFAULT_MAX_ROWS) -> CoefficientTable:
+def coefficient_table(ps: PeriodSystem) -> CoefficientTable:
     """Build the full reconstruction table for a period system.
 
     Row 0 is x^0 = (1, 0, ..., 0) and each later row is one O(l) shift of
-    the row before it. Raises TableSizeError when N exceeds max_rows, and
-    then when N*l exceeds DEFAULT_MAX_CELLS, before anything else is
-    computed; the caps keep a runaway lcm or spectrum from thrashing memory.
+    the row before it. Raises TableSizeError when N*l exceeds
+    DEFAULT_MAX_CELLS, before anything else is computed, so a runaway lcm
+    or spectrum cannot thrash memory.
     """
-    n_rows = _checked_modulus(ps, max_rows)
-    width = size_by_inclusion_exclusion(ps)
-    if n_rows * width > DEFAULT_MAX_CELLS:
-        raise TableSizeError(
-            f"table too large: {n_rows} rows of {width} cells exceed the cap of "
-            f"{DEFAULT_MAX_CELLS} cells"
-        )
+    n_rows = ps.modulus
+    check_size(ps, n_rows)
     coeffs = recurrence_coeffs(characteristic_poly(ps))
     tail = coeffs[::-1]
     rows = [(1,) + (0,) * (len(coeffs) - 1)]
@@ -217,16 +230,19 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
 
     source is a CoefficientTable, or a PeriodSystem, for which only the row
     for x is computed (in O(l^2 log N), with no table built) and N is held
-    to the default row cap. initial is read as the values at 0, ..., l-1 of
+    to DEFAULT_MAX_ROWS. initial is read as the values at 0, ..., l-1 of
     a map that is a sum of periodic maps with the source's periods; the
     result then equals that map's value at x, negative x included.
     Arbitrary initial vectors are accepted, with the agreement promise only
-    where such a sum exists. The row cap, then the count and group of the
-    initial values, are checked before the row is computed.
+    where such a sum exists. N, then the count and group of the initial
+    values, are checked before the row is computed.
     """
     initial = tuple(initial)
     if isinstance(source, PeriodSystem):
-        n_rows = _checked_modulus(source, DEFAULT_MAX_ROWS)
+        n_rows = source.modulus
+        if n_rows > DEFAULT_MAX_ROWS:
+            raise TableSizeError(f"table too large: {_count(n_rows)} rows exceed the cap of "
+                                 f"{DEFAULT_MAX_ROWS}")
         charpoly = characteristic_poly(source)
         _check_initial(initial, charpoly.degree)
         # x^(x mod N) mod P; its coefficients are the row, trailing zeros dropped

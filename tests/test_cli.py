@@ -15,7 +15,9 @@ import pytest
 import persum
 import persum.cli
 import persum.covering
+import persum.cyclotomic
 import persum.reconstruction
+import persum.spectrum
 from persum.cli import integer, main, positive_int
 from persum.reconstruction import (
     coefficient_table,
@@ -186,10 +188,11 @@ def test_every_document_has_the_bytes_of_json_dumps_without_calling_it(tmp_path,
         assert out == expect[argv[0]]
 
 
-def test_coeffs_row_cap_exit_code(capsys):
-    code, _, err = run(capsys, "coeffs", "2", "3", "--max-rows", "5")
-    assert code == 3
-    assert "table too large" in err
+def test_coeffs_cell_cap_exit_code(capsys):
+    # 7072 rows of 7072 cells: 50,013,184 cells, just over the cap; 7071 is just under
+    code, out, err = run(capsys, "coeffs", "7072")
+    assert (code, out) == (3, "")
+    assert err == "error: table too large: 7072 rows of 7072 cells or more exceed the cap of 50000000\n"
 
 
 def test_extrapolate_int(capsys):
@@ -301,6 +304,54 @@ def test_cell_cap_exits_3_before_any_work(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_huge_modulus_refused_on_one_short_line(capsys):
+    # N = lcm(1000, ..., 12000) has over 5000 digits, more than int() will write
+    periods = [str(n) for n in range(1000, 12001)]
+    for argv in (
+        ("coeffs", *periods),
+        ("extrapolate", "--periods", *periods, "--initial", "1", "--at", "0"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: table too large: at least 2^17278 rows")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+
+
+HUGE_PERIOD = str(10**18 + 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", HUGE_PERIOD],
+    ["charpoly", HUGE_PERIOD],
+    ["cover", "--classes", f"0 mod {HUGE_PERIOD}"],
+    ["coeffs", HUGE_PERIOD],
+    ["extrapolate", "--periods", HUGE_PERIOD, "--initial", "1", "--at", "0"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_a_huge_period_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("computed past the size check")
+
+    for module, name in (
+        (persum.cyclotomic, "divisors"),
+        (persum.spectrum, "divisors"),
+        (persum.cli, "build_spectrum"),
+        (persum.cli, "characteristic_poly"),
+        (persum.reconstruction, "build_spectrum"),
+        (persum.reconstruction, "characteristic_poly"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    noun = "table" if argv[0] in ("coeffs", "extrapolate") else "spectrum"
+    assert err.startswith(f"error: {noun} too large: {HUGE_PERIOD} ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_extrapolate_wrong_count(capsys):
     code, _, err = run(
         capsys, "extrapolate", "--periods", "2", "3", "--initial", "1", "0", "--at", "0"
@@ -330,7 +381,6 @@ ARGV_INTEGER_SITES = {
     "spectrum-period": ["spectrum", "{}"],
     "charpoly-period": ["charpoly", "2", "{}"],
     "coeffs-period": ["coeffs", "{}"],
-    "coeffs-max-rows": ["coeffs", "1", "--max-rows", "{}"],
     "extrapolate-periods": ["extrapolate", "--periods", "{}", "--initial", "1", "--at", "0"],
     "extrapolate-at": ["extrapolate", "--periods", "1", "--initial", "1", "--at", "{}"],
     "extrapolate-mod": ["extrapolate", "--periods", "1", "--initial", "1", "--at", "0", "--mod", "{}"],
@@ -385,7 +435,7 @@ PARSER_EXITS = [
     *([command, "--help"] for command in ("spectrum", "charpoly", "coeffs", "extrapolate", "cover", "finewilf")),
     ["spectrum"], ["spectrum", "4", "--bogus"],
     ["charpoly"], ["charpoly", "4", "--bogus"],
-    ["coeffs"], ["coeffs", "4", "--bogus"], ["coeffs", "4", "--max-rows", "x"],
+    ["coeffs"], ["coeffs", "4", "--bogus"], ["coeffs", "4", "--out"],
     ["extrapolate", "--periods", "2", "--initial", "1", "2"],
     ["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--bogus"],
     ["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--mod", "2", "--vec", "2"],

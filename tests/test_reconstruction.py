@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persum.cyclotomic
 import persum.reconstruction
@@ -17,6 +19,7 @@ from persum.reconstruction import (
     PeriodicMap,
     SumOfPeriodicMaps,
     TableSizeError,
+    check_size,
     coefficient_table,
     constancy_check,
     extrapolate,
@@ -198,11 +201,9 @@ def test_table_size_cap_checked_before_any_work(monkeypatch):
         coefficient_table(huge)
     with pytest.raises(TableSizeError):
         extrapolate(huge, (1,), 5)
-    with pytest.raises(TableSizeError):
-        coefficient_table(PeriodSystem((2, 3)), max_rows=5)
 
 
-def test_cell_cap_checked_after_the_row_cap_and_before_any_work(monkeypatch):
+def test_cell_cap_checked_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("computed past the cell cap")
 
@@ -213,20 +214,108 @@ def test_cell_cap_checked_after_the_row_cap_and_before_any_work(monkeypatch):
         (persum.spectrum, "divisors"),
     ):
         monkeypatch.setattr(module, name, refuse)
-    # under the row cap, but N * l = 999983^2 cells
+    # N * l = 999983^2 cells, refused by the bound l >= max(periods) alone
     with pytest.raises(TableSizeError, match="table too large: 999983 rows of 999983 cells"):
         coefficient_table(PeriodSystem((999983,)))
-    with pytest.raises(TableSizeError, match="table too large: 999983 rows exceed the cap of 10$"):
-        coefficient_table(PeriodSystem((999983,)), max_rows=10)
+    # (8, 27, 5, 7, 11, 13): N = 1081080 rows of l = 66 cells, refused by l itself
+    with pytest.raises(TableSizeError, match="^table too large: 1081080 rows of 66 cells exceed the cap"):
+        coefficient_table(PeriodSystem((8, 27, 5, 7, 11, 13)))
 
 
 def test_cell_cap_bounds_n_times_l(monkeypatch):
-    # (2, 3): N = 6 rows of l = 4 cells
+    # (2, 3): N = 6 rows of l = 4 cells; exactly at the cap is fine
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 24)
     assert coefficient_table(PeriodSystem((2, 3))).rows == TABLE_2_3_ROWS
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 23)
-    with pytest.raises(TableSizeError, match="table too large"):
+    with pytest.raises(TableSizeError, match="table too large") as info:
         coefficient_table(PeriodSystem((2, 3)))
+    # the cap error is still a ValueError for generic handling
+    assert isinstance(info.value, ValueError)
+    # a spectrum alone is held to the same count of elements
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 4)
+    check_size(PeriodSystem((2, 3)))
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 3)
+    with pytest.raises(TableSizeError, match="^spectrum too large: 4 elements exceed the cap of 3$"):
+        check_size(PeriodSystem((2, 3)))
+
+
+def prime_factors(n):
+    """{p: j} with p^j exactly dividing n, by trial division."""
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def enumerated_width(periods):
+    """l, as the count of distinct fractions r/n, each written over N."""
+    n = math.lcm(*periods)
+    return len({r * (n // m) for m in periods for r in range(m)})
+
+
+def test_no_modulus_above_360360_has_fifty_or_fewer_spectrum_elements():
+    # The fractions over p, ..., p^j for each p^j exactly dividing N are
+    # q - 1 = p^j - 1 nonzero elements, disjoint across primes, so
+    # l >= 1 + sum(q - 1). The largest product of coprime prime powers within
+    # that bound at l = 50 is 360360; so N > 10^6 forces l >= 51 and
+    # N * l > 5.1 * 10^7, and the cell cap alone refuses every such table.
+    primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+
+    def largest(i, budget):
+        if i == len(primes):
+            return 1
+        best = largest(i + 1, budget)
+        q = primes[i]
+        while q - 1 <= budget:
+            best = max(best, q * largest(i + 1, budget - (q - 1)))
+            q *= primes[i]
+        return best
+
+    assert largest(0, 50 - 1) == 360360 == 8 * 9 * 5 * 7 * 11 * 13
+    assert 10**6 * 51 > persum.reconstruction.DEFAULT_MAX_CELLS
+    rng = random.Random(52)
+    for _ in range(200):
+        periods = tuple(rng.randint(1, 400) for _ in range(rng.randint(1, 4)))
+        bound = 1 + sum(p**j - 1 for p, j in prime_factors(math.lcm(*periods)).items())
+        assert enumerated_width(periods) >= bound, periods
+
+
+class Accepted(Exception):
+    """Raised in place of the characteristic polynomial: the request passed the caps."""
+
+
+def refuse_the_fill(ps):
+    raise Accepted
+
+
+# N just above 10^6 at the least l there is, N * l on both sides of the cap,
+# and N * sum(periods) over the cap with N * l under it
+@example((3500, 7000))
+@example((8, 27, 5, 7, 11, 13))
+@example((8, 9, 5, 7, 11, 13))
+@example((7071,))
+@example((7072,))
+@example((1009, 997))
+@example((5000, 5001))
+@given(st.one_of(
+    st.lists(st.integers(1, 20000), min_size=1, max_size=3),
+    st.tuples(st.integers(6500, 7500), st.integers(1, 40)),
+    st.tuples(st.integers(900, 1100), st.integers(900, 1100), st.integers(1, 12)),
+).map(tuple))
+@settings(derandomize=True, deadline=None, database=None)
+def test_coefficient_table_refuses_exactly_what_the_row_and_cell_caps_refused(periods):
+    n = math.lcm(*periods)
+    refused = n > 10**6 or n * enumerated_width(periods) > 5 * 10**7
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(persum.reconstruction, "characteristic_poly", refuse_the_fill)
+        with pytest.raises(TableSizeError if refused else Accepted):
+            coefficient_table(PeriodSystem(periods))
 
 
 def test_table_recurrence_matches_characteristic_poly():
@@ -245,16 +334,6 @@ def test_table_universality():
     assert coefficient_table(PeriodSystem((6,))) != base
     # provenance is retained but not compared
     assert coefficient_table(PeriodSystem((3, 2))).periods == (3, 2)
-
-
-def test_table_size_cap():
-    with pytest.raises(TableSizeError) as info:
-        coefficient_table(PeriodSystem((2, 3)), max_rows=5)
-    assert "table too large" in str(info.value)
-    # the cap error is still a ValueError for generic handling
-    assert isinstance(info.value, ValueError)
-    # exactly at the cap is fine
-    assert coefficient_table(PeriodSystem((2, 3)), max_rows=6).modulus == 6
 
 
 def test_extrapolate_frozen_example():
