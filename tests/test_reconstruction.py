@@ -222,15 +222,26 @@ def test_cell_cap_checked_before_any_work(monkeypatch):
         coefficient_table(PeriodSystem((8, 27, 5, 7, 11, 13)))
 
 
+def test_table_size_cap(monkeypatch):
+    # (2, 3): N = 6 rows of l = 4 cells
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 23)
+    with pytest.raises(TableSizeError) as info:
+        coefficient_table(PeriodSystem((2, 3)))
+    assert "table too large" in str(info.value)
+    # the cap error is still a ValueError for generic handling
+    assert isinstance(info.value, ValueError)
+    # exactly at the cap is fine
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 24)
+    assert coefficient_table(PeriodSystem((2, 3))).modulus == 6
+
+
 def test_cell_cap_bounds_n_times_l(monkeypatch):
-    # (2, 3): N = 6 rows of l = 4 cells; exactly at the cap is fine
+    # (2, 3): N = 6 rows of l = 4 cells
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 24)
     assert coefficient_table(PeriodSystem((2, 3))).rows == TABLE_2_3_ROWS
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 23)
-    with pytest.raises(TableSizeError, match="table too large") as info:
+    with pytest.raises(TableSizeError, match="table too large"):
         coefficient_table(PeriodSystem((2, 3)))
-    # the cap error is still a ValueError for generic handling
-    assert isinstance(info.value, ValueError)
     # a spectrum alone is held to the same count of elements
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 4)
     check_size(PeriodSystem((2, 3)))
