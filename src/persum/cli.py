@@ -3,9 +3,10 @@
 All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
-`json.dumps(doc, indent=2)` plus a newline. A `coeffs` table is written row
-by row, straight from its integer rows, by `_table_pieces`; every other
-document, and the fields of a table before its rows, by `_dumps`.
+`json.dumps(doc, indent=2)` plus a newline, laid out by one writer, `_write`.
+A `coeffs` document holds its table's rows as they are, a tuple of int
+tuples; `_write` writes each row as one piece of quoted decimal strings, so
+no list of cell strings and no whole text is built.
 Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
@@ -24,7 +25,6 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -200,22 +200,22 @@ def cmd_charpoly(args) -> dict:
     }
 
 
-def cmd_coeffs(args) -> Iterator[str] | None:
-    ps = PeriodSystem(tuple(args.periods))
-    pieces = _table_pieces(coefficient_table(ps))
-    if args.out:
-        # Write over the old bytes, then cut the file to length. Opening with
-        # "w" would truncate to zero first, and ext4 sends a file truncated to
-        # zero and rewritten to disk when it is closed, so the next overwrite
-        # of it waits for that write: 50-100 ms per table instead of 0.01 ms.
-        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
-            fh.writelines(pieces)
-            fh.write("\n")
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
-                fh.truncate()
-        return None
-    return pieces
+def cmd_coeffs(args) -> dict | None:
+    table = coefficient_table(PeriodSystem(tuple(args.periods)))
+    doc = {**table_json_fields(table), "rows": table.rows}
+    if not args.out:
+        return doc
+    # Write over the old bytes, then cut the file to length. Opening with
+    # "w" would truncate to zero first, and ext4 sends a file truncated to
+    # zero and rewritten to disk when it is closed, so the next overwrite
+    # of it waits for that write: 50-100 ms per table instead of 0.01 ms.
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        _write(doc, "\n", fh.write)
+        fh.write("\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+            fh.truncate()
+    return None
 
 
 def cmd_extrapolate(args) -> dict:
@@ -339,82 +339,77 @@ _COMMANDS = {
 
 
 def _dumps(doc) -> str:
-    """The text of `json.dumps(doc, indent=2)` for a tree of str-keyed dicts,
-    lists, strings and booleans; any other value raises TypeError.
+    """The text of `json.dumps(doc, indent=2)` as `_write` writes it, in one string."""
+    parts: list[str] = []
+    _write(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+class _QuotedCell(dict):
+    """The JSON token of a table cell, its quoted decimal string, made and
+    type-checked once per distinct value: a table holds few. A cell equal
+    to one already seen (True after 1) takes that one's token."""
+
+    def __missing__(self, cell: int) -> str:
+        if type(cell) is not int:
+            raise TypeError(f"{type(cell).__name__} is not a table cell")
+        token = self[cell] = f'"{cell}"'
+        return token
+
+
+def _write(value, indent: str, emit) -> None:
+    """Pass to emit, in pieces, the text of `json.dumps(value, indent=2)` for
+    a tree of str-keyed dicts, lists, strings, booleans and table rows (a
+    tuple of int tuples, written as lists of decimal strings, one piece per
+    row); indent is the newline and indent of the enclosing level. Any
+    other value raises TypeError.
 
     `json.dumps` runs its pure-Python encoder whenever `indent` is set. Here
     a list of strings that need no escape (printable ASCII without `"` or
     `\\`, one test over their join) is written by a single join; any other
     string is quoted by `json`'s own escaper, so the text stays exact.
     """
-    parts: list[str] = []
-    _write(doc, "\n", parts)
-    return "".join(parts)
-
-
-class _QuotedCell(dict):
-    """The JSON token of a table cell, its quoted decimal string, made once
-    per distinct value: a table holds few."""
-
-    def __missing__(self, cell: int) -> str:
-        token = self[cell] = f'"{cell}"'
-        return token
-
-
-def _table_pieces(table) -> Iterator[str]:
-    """The text of `_dumps(table_to_json_dict(table))`, in pieces: the
-    fields before the rows by `_dumps`, then one piece per row, joined
-    straight from its integers. No list of cell strings and no whole text
-    is built: writing holds one row's text beside the table."""
-    head = _dumps(table_json_fields(table))
-    yield head[: -len("\n}")] + ',\n  "rows": ['
-    token = _QuotedCell().__getitem__
-    sep = "\n    [\n      "
-    for row in table.rows:
-        yield sep + ",\n      ".join(map(token, row))
-        sep = "\n    ],\n    [\n      "
-    yield "\n    ]\n  ]\n}"
-
-
-def _write(value, indent: str, parts: list[str]) -> None:
     if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, list):
-        if not value:
-            parts.append("[]")
-            return
-        inner = indent + "  "
-        try:
-            joined = "".join(value)
-        except TypeError:  # not all strings
-            sep = "[" + inner
-            for item in value:
-                parts.append(sep)
-                _write(item, inner, parts)
-                sep = "," + inner
-        else:
-            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
-                parts.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
-            else:
-                parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)))
-        parts.append(indent + "]")
+        emit(encode_basestring_ascii(value))
+    elif value is True or value is False:
+        emit("true" if value else "false")
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"{type(value).__name__} is not a persum JSON value")
+    elif not value:
+        emit("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
         inner = indent + "  "
         sep = "{" + inner
         for key, item in value.items():
-            parts.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(item, inner, parts)
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, emit)
             sep = "," + inner
-        parts.append(indent + "}")
+        emit(indent + "}")
     else:
-        raise TypeError(f"{type(value).__name__} is not a persum JSON value")
+        inner = indent + "  "
+        sep = "[" + inner
+        if isinstance(value, tuple):  # a table's rows
+            cell = inner + "  "
+            comma = "," + cell
+            token = _QuotedCell().__getitem__
+            for row in value:
+                # one f-string, so the row's text is copied once
+                emit(f"{sep}[{cell}{comma.join(map(token, row))}{inner}]" if row else sep + "[]")
+                sep = "," + inner
+        else:
+            try:
+                joined = "".join(value)
+            except TypeError:  # not all strings
+                for item in value:
+                    emit(sep)
+                    _write(item, inner, emit)
+                    sep = "," + inner
+            else:
+                if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
+                    emit(sep + '"' + ('",' + inner + '"').join(value) + '"')
+                else:
+                    emit(sep + ("," + inner).join(map(encode_basestring_ascii, value)))
+        emit(indent + "]")
 
 
 def main(argv=None) -> int:
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        doc = args.func(args)  # a document, or the pieces of one, or None once written
+        doc = args.func(args)  # a document, or None once written
     except TableSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -433,10 +428,9 @@ def main(argv=None) -> int:
         return 2
     try:
         if doc is not None:
-            out = sys.stdout
-            out.writelines([_dumps(doc)] if isinstance(doc, dict) else doc)
-            out.write("\n")
-            out.flush()
+            _write(doc, "\n", sys.stdout.write)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
     except BrokenPipeError:
         # reader gone: exit 2 as for an unwritable --out; devnull quiets the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 
-from .numth import Record, check_positive, strict_int
+from .numth import Record, check_int, check_positive, strict_int
 from .reconstruction import PeriodicMap
 from .spectrum import PeriodSystem, size_by_phi
 
@@ -31,6 +31,7 @@ class ResidueClass(Record):
 
     def __init__(self, residue: int, modulus: int):
         check_positive(modulus, "modulus")
+        check_int(residue, "residue")
         object.__setattr__(self, "residue", residue % modulus)
         object.__setattr__(self, "modulus", modulus)
 

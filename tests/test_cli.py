@@ -721,6 +721,25 @@ def test_no_bare_numbers_in_output(capsys):
             assert isinstance(scalar, (str, bool)), (argv, scalar)
 
 
+def test_every_handler_returns_one_document(tmp_path):
+    # a dict for main to write, or None once coeffs --out has written it
+    target = tmp_path / "table.json"
+    cases = [
+        (["spectrum", "4", "6"], dict),
+        (["charpoly", "4", "6"], dict),
+        (["coeffs", "2", "3"], dict),
+        (["coeffs", "2", "3", "--out", str(target)], type(None)),
+        (["extrapolate", "--periods", "2", "--initial", "5", "7", "--at", "-3"], dict),
+        (["cover", "--classes", "0 mod 2", "1 mod 2", "--odd"], dict),
+        (["finewilf", "--first", "1", "--second", "2"], dict),
+    ]
+    assert {argv[0] for argv, _ in cases} == set(persum.cli._COMMANDS)
+    for argv, shape in cases:
+        args = persum.cli.build_parser(argv[0]).parse_args(argv)
+        assert type(args.func(args)) is shape, argv
+    assert json.loads(target.read_text()) == table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
+
+
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -45,6 +45,12 @@ def test_residue_class_requires_positive_modulus():
         ResidueClass(1, -2)
 
 
+@pytest.mark.parametrize("residue", [1.5, 1.0, "1", True])
+def test_residue_class_requires_integer_residue(residue):
+    with pytest.raises(ValueError, match="residue must be an integer"):
+        ResidueClass(residue, 4)
+
+
 def test_residue_class_contains():
     cls = ResidueClass(2, 5)
     assert cls.contains(2)

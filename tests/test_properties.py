@@ -2,7 +2,7 @@
 random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
 counting, the two parsers of outside input fail only with ValueError, the
 CLI takes an integer exactly when it is ASCII digits after an optional '-',
-and the CLI's JSON writer and its row-by-row table writer write the bytes of
+and the CLI's JSON writer, table rows included, writes the bytes of
 `json.dumps(indent=2)`.
 
 Every test runs derandomized and without a deadline, so a run is the same
@@ -245,17 +245,30 @@ def test_cli_takes_an_argv_integer_exactly_when_it_is_ascii_decimal(token):
         assert (code, out.getvalue()) == (2, "")
 
 
-# The trees the CLI writes: str-keyed dicts, lists, strings and booleans.
-# Strings from ASCII with `"` and `\` come often, so lists that need only
-# one escape are drawn as well as lists that need none.
+# The trees the CLI writes: str-keyed dicts, lists, strings, booleans and
+# a table's rows, a tuple of int tuples. Strings from ASCII with `"` and `\`
+# come often, so lists that need only one escape are drawn as well as lists
+# that need none; small cells come often, so rows repeat values.
 json_strings = st.one_of(st.text(), st.text(st.characters(max_codepoint=127)))
+table_rows = st.lists(st.lists(st.integers(-2, 2) | st.integers()).map(tuple)).map(tuple)
 json_trees = st.recursive(
-    st.one_of(json_strings, st.booleans()),
+    st.one_of(json_strings, st.booleans(), table_rows),
     lambda children: st.one_of(
         st.lists(json_strings), st.lists(children), st.dictionaries(json_strings, children)
     ),
     max_leaves=30,
 )
+
+
+def as_strings(tree):
+    """tree with each table row of ints as the list of their decimal strings."""
+    if isinstance(tree, tuple):
+        return [[str(cell) for cell in row] for row in tree]
+    if isinstance(tree, list):
+        return [as_strings(item) for item in tree]
+    if isinstance(tree, dict):
+        return {key: as_strings(item) for key, item in tree.items()}
+    return tree
 
 
 @settings(FIXED, max_examples=500)
@@ -269,11 +282,19 @@ json_trees = st.recursive(
 @example(tree=[[], ["1"]])
 @example(tree=[True, "1"])
 @example(tree={"a": []})
+@example(tree=())
+@example(tree=((),))
+@example(tree=((), (0, -1)))
+@example(tree={"rows": ((1, 0), (1, 0), (-(2**70), 1))})
+@example(tree=[((),), ()])
 def test_cli_writer_matches_json_dumps_indent_2(tree):
-    assert _dumps(tree) == json.dumps(tree, indent=2)
+    assert _dumps(tree) == json.dumps(as_strings(tree), indent=2)
 
 
-@pytest.mark.parametrize("tree", [1, None, ["1", 1], {"a": None}])
+@pytest.mark.parametrize(
+    "tree",
+    [1, None, ["1", 1], {"a": None}, ((None,),), (("1",),), ((1.0,),), ((True,),)],
+)
 def test_cli_writer_refuses_a_non_string_scalar(tree):
     with pytest.raises(TypeError):
         _dumps(tree)
