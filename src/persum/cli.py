@@ -11,22 +11,25 @@ Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
 commas alone, as in 1,-2.
-`main` builds only the parser of the subcommand its argv names, and
-`--help` and every message are the same as the full parser's.
+The grammar is one table, `_COMMANDS`. `main` reads a valid command line
+from it with `_read`, which imports no argparse, gettext or locale. Help,
+every error, and any line `_read` leaves alone go to argparse, built from
+the same table by `build_parser`, which prints and exits as it always has.
 Exit codes: 0 success, 2 usage or parse error, 3 a table, spectrum or single
 row over its cap (`reconstruction`), refused before any other work.
 """
 
 from __future__ import annotations
 
-import argparse
 import json  # noqa: F401  perfbench/tracing.py traces persum.cli.json.dumps by name
 import math
 import os
 import stat
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .covering import (
     maximal_moduli_distinct,
@@ -65,12 +68,16 @@ def integer(text: str) -> int:
     try:
         return strict_int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def positive_int(text: str) -> int:
     value = integer(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
@@ -82,8 +89,8 @@ class _SignedValueMatcher:
     pattern matches it, and its own pattern takes plain numbers alone, so
     a --vec value such as -4,12,-18 would read as an unknown option. This
     takes every token with a digit after the '-'; a malformed one is then
-    refused by the value parser, still with exit 2. Not a compiled regex,
-    which would cost a fresh process about 0.5 ms on every command.
+    refused by the value parser, still with exit 2. `_read` holds values
+    to the same rule, with an ASCII digit.
     """
 
     @staticmethod
@@ -91,84 +98,97 @@ class _SignedValueMatcher:
         return token[1:2].isdecimal()
 
 
-def _periods_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("periods", nargs="+", type=positive_int, metavar="PERIOD")
+def build_parser():
+    """The argparse parser of all six subcommands, built from `_COMMANDS`.
+    `main` runs it only on argv that `_read` leaves to it: help, errors and
+    readings only argparse settles."""
+    import argparse
 
-
-def _coeffs_arguments(p: argparse.ArgumentParser) -> None:
-    _periods_arguments(p)
-    p.add_argument("--out", metavar="PATH", help="write the JSON document here instead of stdout")
-
-
-def _extrapolate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--periods", nargs="+", type=positive_int, required=True, metavar="PERIOD")
-    p.add_argument(
-        "--initial",
-        nargs="+",
-        required=True,
-        metavar="VALUE",
-        help="the map's values at 0..l-1; with --vec each value is d comma-separated ints",
-    )
-    p.add_argument("--at", type=integer, required=True, metavar="X", help="argument to reconstruct at")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--int", dest="group_int", action="store_true", help="plain integers (default)")
-    group.add_argument("--mod", type=positive_int, metavar="M", help="integers mod M")
-    group.add_argument("--vec", type=positive_int, metavar="D", help="integer vectors of dimension D")
-    p._negative_number_matcher = _SignedValueMatcher
-
-
-def _cover_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("source", nargs="?", help="residue system file, or - for stdin")
-    p.add_argument(
-        "--classes",
-        nargs="+",
-        metavar="'A mod N'",
-        help="inline residue classes instead of a file",
-    )
-    p.add_argument("--start", type=integer, default=0, help="first x of the inspected window")
-    p.add_argument("--odd", action="store_true", help="test for an odd cover")
-    p.add_argument(
-        "--check",
-        nargs=2,
-        type=integer,
-        metavar=("M", "A"),
-        help="test whether every multiplicity lies in A (mod M)",
-    )
-    p.add_argument(
-        "--gcd-window",
-        nargs=2,
-        type=integer,
-        metavar=("A", "B"),
-        help="gcd of multiplicity(A+r)+B over the window",
-    )
-
-
-def _finewilf_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--first", nargs="+", type=integer, required=True, metavar="V")
-    p.add_argument("--second", nargs="+", type=integer, required=True, metavar="V")
-    p.add_argument("--first-period", type=positive_int, help="declared period (default: count)")
-    p.add_argument("--second-period", type=positive_int, help="declared period (default: count)")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with all six subcommands, or with `command`'s alone, both
-    built from `_COMMANDS`. A one-command parser's subcommand metavar lists
-    every name, so its usage line is the full parser's. The full parser
-    leaves it unset: argparse names the action by it in the "invalid choice"
-    and "required" errors, which only the full parser can raise."""
     parser = argparse.ArgumentParser(
         prog="persum",
         description="Exact spectra, reconstruction tables, and covering-system checks "
         "for sums of periodic maps.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command is None or command == name:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, signed, group, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        exclusive = p.add_mutually_exclusive_group() if group else None
+        for flag, spec in arguments:
+            (exclusive if flag in group else p).add_argument(flag, **spec)
+        if signed:
+            p._negative_number_matcher = _SignedValueMatcher
+        p.set_defaults(func=handler)
     return parser
+
+
+def _is_value(token: str, signed: bool) -> bool:
+    """Whether argparse surely reads token as a value: it does not start
+    with '-', or is '-' alone, or is '-' then ASCII digits (on a signed
+    command, '-' then one ASCII digit and anything)."""
+    if token[:1] != "-" or token == "-":
+        return True
+    digits = token[1:2] if signed else token[1:]
+    return digits.isdigit() and digits.isascii()
+
+
+# how many value tokens an argument takes, least and most, by its nargs
+_COUNTS = {None: (1, 1), 2: (2, 2), "?": (0, 1), "+": (1, math.inf), "store_true": (0, 0)}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    `_COMMANDS` without argparse, or None unless argv is plainly valid: the
+    command, then its exact option strings, each once and with the values
+    its nargs takes, and at most one run of positional values. Every integer
+    passes `strict_int` (and is positive where the argument says so), every
+    required argument is there, and at most one flag of the exclusive group.
+    argparse answers the rest: help, errors, and the readings (abbreviations,
+    --opt=value, --, repeats) this leaves to it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, signed, group, arguments = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    positional = next((name for name, _ in arguments if name[0] != "-"), None)
+    given: dict[str, list[str]] = {}  # flag or positional -> its value tokens
+    i = 1
+    while i < len(argv):
+        name = argv[i]
+        if _is_value(name, signed):
+            name = positional
+        else:
+            i += 1
+        if name not in specs or name in given:
+            return None
+        spec = specs[name]
+        least, most = _COUNTS[spec.get("action", spec.get("nargs"))]
+        run = i
+        while run < len(argv) and run - i < most and _is_value(argv[run], signed):
+            run += 1
+        if run - i < least:
+            return None
+        given[name], i = argv[i:run], run
+    if sum(flag in given for flag in group) > 1:
+        return None
+    values = {"command": argv[0]}
+    for name, spec in arguments:
+        tokens = given.get(name)
+        if tokens is None:
+            if spec.get("required") or name == positional and spec["nargs"] == "+":
+                return None
+            value = spec.get("default", False if "action" in spec else None)
+        elif "action" in spec:
+            value = True
+        else:
+            if "type" in spec:
+                try:
+                    tokens = [strict_int(token) for token in tokens]
+                except ValueError:
+                    return None
+                if spec["type"] is positive_int and min(tokens) < 1:
+                    return None
+            value = tokens if spec.get("nargs") in ("+", 2) else tokens[0]
+        values[spec.get("dest", name.lstrip("-").replace("-", "_"))] = value
+    return SimpleNamespace(**values, func=handler)
 
 
 def cmd_spectrum(args) -> dict:
@@ -326,15 +346,51 @@ def cmd_finewilf(args) -> dict:
     }
 
 
-# name -> (help, the function that adds its arguments, its handler), in the
-# order `persum --help` lists them
+_PERIODS = ("periods", {"nargs": "+", "type": positive_int, "metavar": "PERIOD"})
+_DECLARED = {"type": positive_int, "help": "declared period (default: count)"}
+
+# The grammar, one entry per command in the order `persum --help` lists them:
+# its help and handler; whether a value may be '-', a digit and anything (the
+# --vec tokens of extrapolate, see `_SignedValueMatcher`); its mutually
+# exclusive flags; and its arguments, each a flag or the positional's dest
+# with argparse's keywords for it. An option's dest is argparse's, from its
+# flag, unless given. `build_parser` hands the keywords to argparse, and
+# `_read` reads valid argv by them without it.
 _COMMANDS = {
-    "spectrum": ("enumerate a period list's spectrum and its size", _periods_arguments, cmd_spectrum),
-    "charpoly": ("characteristic polynomial of the spectrum", _periods_arguments, cmd_charpoly),
-    "coeffs": ("emit the full reconstruction coefficient table", _coeffs_arguments, cmd_coeffs),
-    "extrapolate": ("reconstruct a value from initial values", _extrapolate_arguments, cmd_extrapolate),
-    "cover": ("covering-multiplicity window checks", _cover_arguments, cmd_cover),
-    "finewilf": ("difference gcd of two integer periodic maps", _finewilf_arguments, cmd_finewilf),
+    "spectrum": ("enumerate a period list's spectrum and its size", cmd_spectrum, False, (), (_PERIODS,)),
+    "charpoly": ("characteristic polynomial of the spectrum", cmd_charpoly, False, (), (_PERIODS,)),
+    "coeffs": ("emit the full reconstruction coefficient table", cmd_coeffs, False, (), (
+        _PERIODS,
+        ("--out", {"metavar": "PATH", "help": "write the JSON document here instead of stdout"}),
+    )),
+    "extrapolate": ("reconstruct a value from initial values", cmd_extrapolate,
+                    True, ("--int", "--mod", "--vec"), (
+        ("--periods", {"nargs": "+", "type": positive_int, "required": True, "metavar": "PERIOD"}),
+        ("--initial", {"nargs": "+", "required": True, "metavar": "VALUE", "help":
+                       "the map's values at 0..l-1; with --vec each value is d comma-separated ints"}),
+        ("--at", {"type": integer, "required": True, "metavar": "X",
+                  "help": "argument to reconstruct at"}),
+        ("--int", {"dest": "group_int", "action": "store_true", "help": "plain integers (default)"}),
+        ("--mod", {"type": positive_int, "metavar": "M", "help": "integers mod M"}),
+        ("--vec", {"type": positive_int, "metavar": "D", "help": "integer vectors of dimension D"}),
+    )),
+    "cover": ("covering-multiplicity window checks", cmd_cover, False, (), (
+        ("source", {"nargs": "?", "help": "residue system file, or - for stdin"}),
+        ("--classes", {"nargs": "+", "metavar": "'A mod N'",
+                       "help": "inline residue classes instead of a file"}),
+        ("--start", {"type": integer, "default": 0, "help": "first x of the inspected window"}),
+        ("--odd", {"action": "store_true", "help": "test for an odd cover"}),
+        ("--check", {"nargs": 2, "type": integer, "metavar": ("M", "A"),
+                     "help": "test whether every multiplicity lies in A (mod M)"}),
+        ("--gcd-window", {"nargs": 2, "type": integer, "metavar": ("A", "B"),
+                          "help": "gcd of multiplicity(A+r)+B over the window"}),
+    )),
+    "finewilf": ("difference gcd of two integer periodic maps", cmd_finewilf, False, (), (
+        ("--first", {"nargs": "+", "type": integer, "required": True, "metavar": "V"}),
+        ("--second", {"nargs": "+", "type": integer, "required": True, "metavar": "V"}),
+        ("--first-period", _DECLARED),
+        ("--second-period", _DECLARED),
+    )),
 }
 
 
@@ -346,13 +402,11 @@ def _dumps(doc) -> str:
 
 
 class _QuotedCell(dict):
-    """The JSON token of a table cell, its quoted decimal string, made and
-    type-checked once per distinct value: a table holds few. A cell equal
-    to one already seen (True after 1) takes that one's token."""
+    """The JSON token of a table cell, its quoted decimal string, made once
+    per distinct value: a table holds few. The memo is keyed by value, and
+    True and 1.0 equal 1, so `_write` checks the cells' types first."""
 
     def __missing__(self, cell: int) -> str:
-        if type(cell) is not int:
-            raise TypeError(f"{type(cell).__name__} is not a table cell")
         token = self[cell] = f'"{cell}"'
         return token
 
@@ -391,6 +445,11 @@ def _write(value, indent: str, emit) -> None:
         if isinstance(value, tuple):  # a table's rows
             cell = inner + "  "
             comma = "," + cell
+            # every cell's type, in one pass that runs no bytecode per cell
+            kinds = {*map(type, chain.from_iterable(value))}
+            kinds.discard(int)
+            if kinds:
+                raise TypeError(f"{kinds.pop().__name__} is not a table cell")
             token = _QuotedCell().__getitem__
             for row in value:
                 # one f-string, so the row's text is copied once
@@ -415,9 +474,9 @@ def _write(value, indent: str, emit) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the named subcommand's parser alone: the other five cost a fresh process about 2 ms
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read(argv)
+    if args is None:  # help, an error, or a reading only argparse settles
+        args = build_parser().parse_args(argv)
     try:
         doc = args.func(args)  # a document, or None once written
     except TableSizeError as exc:

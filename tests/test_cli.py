@@ -468,12 +468,15 @@ def test_parser_errors_name_the_command_argument(capsys):
 
 @pytest.mark.parametrize("site", ARGV_INTEGER_SITES)
 def test_one_command_parser_reads_what_the_full_parser_reads(site):
+    # the one-command parser is main's grammar reader, which reads argv by
+    # the named command's entry of _COMMANDS alone
     argv = [arg.format("1") for arg in ARGV_INTEGER_SITES[site]]
-    one = persum.cli.build_parser(argv[0]).parse_args(argv)
+    one = persum.cli._read(argv)
+    assert one is not None
     assert vars(one) == vars(persum.cli.build_parser().parse_args(argv))
 
 
-def test_main_builds_one_subparser_for_a_request_and_all_six_otherwise(capsys, monkeypatch):
+def test_main_builds_no_subparser_for_a_request_and_all_six_otherwise(capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -485,13 +488,33 @@ def test_main_builds_one_subparser_for_a_request_and_all_six_otherwise(capsys, m
     commands = {argv[0]: [arg.format("1") for arg in argv] for argv in ARGV_INTEGER_SITES.values()}
     assert len(commands) == 6
     for command, argv in commands.items():
-        built.clear()
         assert run(capsys, *argv)[0] == 0
-        assert built == [command]
-    for argv in (["--help"], ["nope"]):
+        assert built == [], command
+    for argv in (["--help"], ["nope"], ["spectrum", "--help"], ["spectrum", "0"], ["cover", "--check", "2"]):
         built.clear()
         assert run(capsys, *argv)[0] in (0, 2)
         assert sorted(built) == sorted(commands)
+
+
+def imported_by_python_m_persum(*argv):
+    """The modules a fresh `python -m persum argv` imports, by -X importtime."""
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "persum", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, proc.stdout, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_a_valid_command_imports_neither_argparse_nor_locale():
+    code, out, modules = imported_by_python_m_persum("spectrum", "2", "3")
+    assert code == 0
+    assert json.loads(out)["size_enumerated"] == "4"
+    assert "persum.cli" in modules
+    assert not modules & {"argparse", "gettext", "locale"}
+    # the same process asked for help does import them, so the check can see them
+    code, out, modules = imported_by_python_m_persum("spectrum", "--help")
+    assert (code, out[:22]) == (0, "usage: persum spectrum")
+    assert {"argparse", "locale"} <= modules
 
 
 def test_argv_integers_keep_their_sign_and_size(capsys):
@@ -735,7 +758,7 @@ def test_every_handler_returns_one_document(tmp_path):
     ]
     assert {argv[0] for argv, _ in cases} == set(persum.cli._COMMANDS)
     for argv, shape in cases:
-        args = persum.cli.build_parser(argv[0]).parse_args(argv)
+        args = persum.cli.build_parser().parse_args(argv)
         assert type(args.func(args)) is shape, argv
     assert json.loads(target.read_text()) == table_to_json_dict(coefficient_table(PeriodSystem((2, 3))))
 

@@ -2,7 +2,8 @@
 random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
 counting, the two parsers of outside input fail only with ValueError, the
 CLI takes an integer exactly when it is ASCII digits after an optional '-',
-and the CLI's JSON writer, table rows included, writes the bytes of
+the CLI's grammar reader reads argv exactly as argparse does or leaves it to
+argparse, and the CLI's JSON writer, table rows included, writes the bytes of
 `json.dumps(indent=2)`.
 
 Every test runs derandomized and without a deadline, so a run is the same
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persum.cli import _dumps, main
+from persum.cli import _COMMANDS, _dumps, _read, build_parser, main
 from persum.covering import (
     ResidueClass,
     ResidueSystem,
@@ -245,14 +246,84 @@ def test_cli_takes_an_argv_integer_exactly_when_it_is_ascii_decimal(token):
         assert (code, out.getvalue()) == (2, "")
 
 
-# The trees the CLI writes: str-keyed dicts, lists, strings, booleans and
-# a table's rows, a tuple of int tuples. Strings from ASCII with `"` and `\`
-# come often, so lists that need only one escape are drawn as well as lists
-# that need none; small cells come often, so rows repeat values.
+# Value tokens besides plain integers: --vec tokens, and what argparse reads
+# apart from a plain value: '-', '--', '=', '-h', empty strings, spaces, '+1'
+# and digits of other scripts.
+odd_tokens = st.sampled_from([
+    "", " ", "-", "--", "-h", "--help", "=", "1=2", "+1", "\u0663", "-\u0663", " 1", "1 ", "-1 ", "1_0",
+    "-1,2", "3,-4", "-4,12,-18", "1,", "0 mod 2", "-1 mod 3", "x", "-x", "--x", "-1.5", "-1\n", "-\u00b2",
+])
+plain_integers = st.integers(1, 12).map(str) | st.integers().map(str)
+
+
+@st.composite
+def command_lines(draw):
+    """argv for one command, mostly well formed: some of its arguments, each
+    as its flag (mostly exact, else abbreviated or with =value) and mostly as
+    many values as its nargs takes, mostly integers, in any order, and now
+    and then a stray token."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    pieces = []
+    for flag, spec in _COMMANDS[command][-1]:
+        if not draw(st.booleans()) and not (spec.get("required") and draw(st.booleans())):
+            continue
+        nargs = spec.get("nargs", 0 if "action" in spec else 1)
+        count = draw(st.sampled_from([nargs, nargs, nargs, 0, 1, 3])) if nargs != "+" else draw(st.integers(0, 3))
+        count = 1 if count == "?" else count
+        values = [draw(st.one_of(plain_integers, plain_integers, odd_tokens)) for _ in range(count)]
+        if flag[0] != "-":
+            pieces.append(values)
+            continue
+        form = draw(st.sampled_from(["exact"] * 6 + ["prefix", "equals"]))
+        if form == "prefix":
+            flag = flag[: draw(st.integers(2, len(flag)))]
+        elif form == "equals" and values:
+            flag, values = f"{flag}={values[0]}", values[1:]
+        pieces.append([flag, *values])
+    pieces = draw(st.permutations(pieces))
+    argv = [command, *(token for piece in pieces for token in piece)]
+    if draw(st.integers(0, 3)) == 0:
+        stray = draw(st.one_of(odd_tokens, plain_integers, st.sampled_from(["--out", "--bogus", "--int"])))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+PARSER = build_parser()
+
+
+@settings(FIXED, max_examples=400)
+@given(argv=command_lines())
+@example(argv=["extrapolate", "--periods", "2", "--initial", "-4,12", "3,-4", "--at", "-5", "--vec", "2"])
+@example(argv=["cover", "-", "--odd", "--check", "3", "-1"])
+@example(argv=["cover", "--odd", "src"])
+@example(argv=["coeffs", "--out", "t.json", "2", "3"])
+@example(argv=["coeffs", "2", "--out", "-1,2"])  # '-' then a digit is a value on extrapolate alone
+@example(argv=["cover", "--classes", "-\u00b2"])  # a digit, not a decimal digit
+@example(argv=["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--mod", "2", "--vec", "2"])
+@example(argv=["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--int", "--mod", "2"])
+def test_the_grammar_reader_reads_what_argparse_reads_or_nothing(argv):
+    read = _read(argv)
+    if read is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+        try:
+            expect = vars(PARSER.parse_args(argv))
+        except SystemExit as exc:
+            expect = f"exit {exc.code}: {err.getvalue()}"
+    assert vars(read) == expect
+
+
+# The trees the CLI writes: str-keyed dicts, lists, strings and booleans,
+# drawn here, and a table's rows, a tuple of int tuples, drawn on their own
+# below (drawing them as leaves of the trees doubled the time to draw).
+# Strings from ASCII with `"` and `\` come often, so lists that need only one
+# escape are drawn as well as lists that need none; small cells come often,
+# so rows repeat values.
 json_strings = st.one_of(st.text(), st.text(st.characters(max_codepoint=127)))
 table_rows = st.lists(st.lists(st.integers(-2, 2) | st.integers()).map(tuple)).map(tuple)
 json_trees = st.recursive(
-    st.one_of(json_strings, st.booleans(), table_rows),
+    st.one_of(json_strings, st.booleans()),
     lambda children: st.one_of(
         st.lists(json_strings), st.lists(children), st.dictionaries(json_strings, children)
     ),
@@ -289,6 +360,18 @@ def as_strings(tree):
 @example(tree=[((),), ()])
 def test_cli_writer_matches_json_dumps_indent_2(tree):
     assert _dumps(tree) == json.dumps(as_strings(tree), indent=2)
+
+
+@settings(FIXED, max_examples=500)
+@given(rows=table_rows)
+@example(rows=((1, True, 1.0),))  # equal to 1, so the token memo must not answer them
+@example(rows=((0, -1), (False, 0)))
+def test_cli_writer_matches_json_dumps_indent_2_on_table_rows(rows):
+    if all(type(cell) is int for row in rows for cell in row):
+        assert _dumps(rows) == json.dumps(as_strings(rows), indent=2)
+    else:
+        with pytest.raises(TypeError):
+            _dumps(rows)
 
 
 @pytest.mark.parametrize(
