@@ -30,7 +30,7 @@ from .cyclotomic import (
     poly_powmod,
     x_power_minus_one,
 )
-from .groups import IntVector, ModInt, same_realization, scale, zero_like
+from .groups import IntVector, ModInt, scale, zero_like
 from .numth import divisors, euler_phi, lcm_all
 from .reconstruction import (
     CoefficientTable,
@@ -92,7 +92,6 @@ __all__ = [
     "parse_residue_system",
     "poly_powmod",
     "recurrence_coeffs",
-    "same_realization",
     "scale",
     "size_by_inclusion_exclusion",
     "size_by_phi",

@@ -48,7 +48,6 @@ from .reconstruction import (
     coefficient_table,
     extrapolate,
     finewilf_difference_gcd,
-    finewilf_window,
     table_json_fields,
     # not called here; perfbench/tracing.py wraps persum.cli.table_to_json_dict by name
     table_to_json_dict,  # noqa: F401
@@ -291,7 +290,6 @@ def cmd_cover(args) -> dict:
     system = _load_system(args)
     if args.check is not None and args.check[0] < 1:
         raise ValueError(f"check modulus must be positive, got {args.check[0]}")
-    check_size(system.period_system)
     length = system.window_length()
     window = multiplicity_window(system, args.start, length)
     doc = {
@@ -340,7 +338,7 @@ def cmd_finewilf(args) -> dict:
         "second": [str(v) for v in h.values],
         "first_period": str(g.period),
         "second_period": str(h.period),
-        "window_length": str(finewilf_window(g.period, h.period)),
+        "window_length": str(size_by_inclusion_exclusion(PeriodSystem((g.period, h.period)))),
         "difference_gcd": str(diff_gcd),
         "identical": diff_gcd == 0,
     }

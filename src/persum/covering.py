@@ -2,12 +2,12 @@
 
 The covering multiplicity of an integer is how many classes of the system
 contain it. Because each class contributes a periodic indicator map, the
-multiplicity is a sum of periodic maps, and a spectrum-length window of
-multiplicities determines its behaviour on all of Z: the window is the
-paper's l-value certificate for that sum. That yields two window tests:
-membership of every multiplicity in a fixed residue class, and a gcd
-identity for systems whose divisibility-maximal moduli are pairwise
-distinct.
+multiplicity is a sum of periodic maps, and l consecutive multiplicities,
+for l the spectrum size of the moduli (window_length), determine it on
+all of Z: the paper's l-value certificate for that sum. That yields
+two window tests: membership of every multiplicity in a fixed residue
+class, and a gcd identity for systems whose divisibility-maximal moduli
+are pairwise distinct.
 
 Every window comes from multiplicity_window, which marks each class's
 members instead of testing every class at every position: L + sum(L/n_s + 1)
@@ -20,8 +20,9 @@ import json
 import math
 
 from .numth import Record, check_int, check_positive, strict_int
-from .reconstruction import PeriodicMap
-from .spectrum import PeriodSystem, size_by_phi
+from .reconstruction import PeriodicMap, check_size
+from .spectrum import PeriodSystem, size_by_inclusion_exclusion
+from .spectrum import size_by_phi  # noqa: F401  perfbench/tracing.py wraps it by name
 
 
 class ResidueClass(Record):
@@ -68,9 +69,12 @@ class ResidueSystem(Record):
         return PeriodSystem(self.moduli)
 
     def window_length(self) -> int:
-        """The spectrum size of the moduli: how many consecutive
-        multiplicities pin down the covering behaviour everywhere."""
-        return size_by_phi(self.period_system)
+        """l, the spectrum size of the moduli, counted by the rule of every
+        window, size_by_inclusion_exclusion, once check_size has passed: an
+        oversized system raises TableSizeError before any window is filled."""
+        ps = self.period_system
+        check_size(ps)
+        return size_by_inclusion_exclusion(ps)
 
 
 class WindowClassResult(Record):

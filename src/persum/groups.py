@@ -92,13 +92,6 @@ def zero_like(g):
     return g.zero()
 
 
-def same_realization(a, b) -> bool:
-    """Whether a and b live in the same group and may be added: exactly when
-    their zeros are equal, so an int (zero 0) never matches a ModInt or an
-    IntVector, and True counts as an int."""
-    return zero_like(a) == zero_like(b)
-
-
 def scale(g, n: int):
     """The n-fold group sum of g, for any integer n.
 

@@ -83,20 +83,21 @@ def gcd_exponents(values: Iterable[int]) -> dict[int, int]:
     """Signed gcd counts: e_g sums (-1)^(|T|+1) over the nonempty subsets T
     of values with gcd(T) == g; zero entries are dropped.
 
-    Values are folded in one at a time, at one gcd per distinct gcd so far
-    instead of one per subset. sum(g * e_g) is the inclusion-exclusion
-    size of the union of the (1/v)Z/Z, and prod (x^g - 1)^e_g is the lcm
-    of the x^v - 1.
+    sum(g * e_g) is the inclusion-exclusion size of the union of the
+    (1/v)Z/Z, and prod (x^g - 1)^e_g is the lcm of the x^v - 1, which fixes
+    the e_g and ignores repeats. So each distinct value is folded in once,
+    at one gcd per distinct gcd so far instead of one per subset.
     """
     exps: dict[int, int] = {}
-    for v in values:
+    for v in sorted(set(values)):
         step = {v: 1}
         for g, e in exps.items():
             h = math.gcd(g, v)
             step[h] = step.get(h, 0) - e
         for g, e in step.items():
-            exps[g] = exps.get(g, 0) + e
-        exps = {g: e for g, e in exps.items() if e}
+            e += exps.pop(g, 0)
+            if e:
+                exps[g] = e
     return exps
 
 

@@ -17,6 +17,11 @@ row 0 too. A single value needs only one row, x^(x mod N) mod P, which
 extrapolate computes by powering left to right with x as the multiplier
 (Fiduccia's method) when it is given the period system instead of a table.
 
+l consecutive values decide such a map (the paper's local-global theorem),
+so l sizes every window certificate: the constancy window, the difference
+gcd window of two maps (Fine-Wilf's m + n - gcd(m, n)) and the covering
+windows, each counted as check_size counts l, by size_by_inclusion_exclusion.
+
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
 closure. One rule sizes a table, before any other work: N*l cells at most
@@ -275,23 +280,19 @@ def constancy_check(table: CoefficientTable, window) -> ConstancyResult:
     return ConstancyResult(True, first)
 
 
-def finewilf_window(m: int, n: int) -> int:
-    """m + n - gcd(m, n), the agreement window for periods m and n."""
-    return m + n - math.gcd(m, n)
-
-
 def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     """gcd of g - h over the two-period agreement window.
 
     For integer-valued g and h with periods m and n, every difference
     g(x) - h(x) anywhere on Z is divisible by the gcd of the differences
-    at 0, ..., m+n-gcd(m,n)-1. A result of 0 means the window differences
-    all vanish and hence g and h are identical.
+    at 0, ..., l-1, for l = m + n - gcd(m, n) the spectrum size of (m, n).
+    A result of 0 means they all vanish and hence g and h are identical.
     """
     for pm in (g, h):
         if not all(isinstance(v, int) for v in pm.values):
             raise ValueError("integer-valued maps required")
-    return math.gcd(*(g(r) - h(r) for r in range(finewilf_window(g.period, h.period))))
+    window = size_by_inclusion_exclusion(PeriodSystem((g.period, h.period)))
+    return math.gcd(*(g(r) - h(r) for r in range(window)))
 
 
 def table_json_fields(table: CoefficientTable) -> dict:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,9 @@ from persum.covering import (
     parse_residue_system,
     window_class_check,
 )
-from persum.reconstruction import SumOfPeriodicMaps
+from persum.numth import divisors
+from persum.reconstruction import SumOfPeriodicMaps, TableSizeError
+from persum.spectrum import build_spectrum, size_by_phi
 
 
 def system(*pairs):
@@ -76,6 +79,40 @@ def test_residue_system_basics():
     assert sys23.window_length() == 4
     with pytest.raises(ValueError):
         ResidueSystem(())
+
+
+def test_window_length_is_the_spectrum_size():
+    # one rule sizes every window; the spectrum itself and the totient route
+    # are independent counts, and for two moduli the Fine-Wilf closed form
+    # m + n - gcd(m, n) is the oracle
+    rng = random.Random(57)
+    for _ in range(300):
+        moduli = [rng.randint(1, 30)]
+        for _ in range(rng.randint(0, 3)):
+            pick = rng.choice(moduli)
+            moduli.append(rng.choice([rng.randint(1, 30), pick, rng.choice(divisors(pick))]))
+        rng.shuffle(moduli)
+        sys = system(*((0, n) for n in moduli))
+        ps = sys.period_system
+        assert sys.window_length() == len(build_spectrum(ps)) == size_by_phi(ps), moduli
+        if len(moduli) == 2:
+            m, n = moduli
+            assert sys.window_length() == m + n - math.gcd(m, n), moduli
+
+
+@pytest.mark.parametrize("check", [
+    lambda sys: gcd_window(sys, 0, 0),
+    lambda sys: window_class_check(sys, 2, 1, 0),
+    lambda sys: odd_cover_check(sys),
+], ids=["gcd_window", "window_class_check", "odd_cover_check"])
+def test_window_checks_refuse_an_oversized_system_at_once(check):
+    # sized by check_size before the window is counted: a modulus of 10^18+3
+    # is refused by its bound, not factored or allocated
+    huge = system((0, 10**18 + 3))
+    start = time.perf_counter()
+    with pytest.raises(TableSizeError, match="^spectrum too large: "):
+        check(huge)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multiplicity_examples():

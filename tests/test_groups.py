@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from persum.groups import IntVector, ModInt, same_realization, scale, zero_like
+from persum.groups import IntVector, ModInt, scale, zero_like
+from persum.reconstruction import PeriodicMap
 
 
 def test_modint_normalizes():
@@ -79,21 +80,6 @@ def test_zero_like():
     assert zero_like(IntVector((1, 2))) == IntVector((0, 0))
 
 
-def test_same_realization():
-    assert same_realization(1, -5)
-    assert same_realization(ModInt(1, 4), ModInt(3, 4))
-    assert not same_realization(ModInt(1, 4), ModInt(1, 5))
-    assert not same_realization(1, ModInt(1, 4))
-    assert same_realization(IntVector((1,)), IntVector((2,)))
-    assert not same_realization(IntVector((1,)), IntVector((1, 2)))
-    assert not same_realization(IntVector((1,)), 1)
-    assert not same_realization(ModInt(0, 1), IntVector((0,)))
-    assert same_realization(True, 1)
-    assert same_realization(Halves(1), Halves(-3))
-    assert not same_realization(Halves(1), 1)
-    assert not same_realization(0, Halves(0))
-
-
 class Halves:
     """(1/2)Z, a group persum ships no class for: only zero(), +, unary -
     and ==."""
@@ -112,6 +98,32 @@ class Halves:
 
     def __eq__(self, other):
         return isinstance(other, Halves) and self.q == other.q
+
+
+@pytest.mark.parametrize("a, b, same", [
+    (1, -5, True),
+    (ModInt(1, 4), ModInt(3, 4), True),
+    (ModInt(1, 4), ModInt(1, 5), False),
+    (1, ModInt(1, 4), False),
+    (IntVector((1,)), IntVector((2,)), True),
+    (IntVector((1,)), IntVector((1, 2)), False),
+    (IntVector((1,)), 1, False),
+    (ModInt(0, 1), IntVector((0,)), False),
+    (True, 1, True),
+    (Halves(1), Halves(-3), True),
+    (Halves(1), 1, False),
+    (0, Halves(0), False),
+], ids=["int-int", "mod4-mod4", "mod4-mod5", "int-mod4", "vec1-vec1", "vec1-vec2",
+        "vec1-int", "mod1-vec1", "bool-int", "halves-halves", "halves-int", "int-halves"])
+def test_same_realization(a, b, same):
+    # two values share a group, and one map, exactly when their zeros are
+    # equal: an int (zero 0) never matches a ModInt or an IntVector, and
+    # True counts as an int
+    if same:
+        assert PeriodicMap((a, b)).values == (a, b)
+    else:
+        with pytest.raises(ValueError, match="^mixed group realizations$"):
+            PeriodicMap((a, b))
 
 
 def test_scale_examples():

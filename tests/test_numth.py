@@ -81,10 +81,16 @@ def test_gcd_exponents_examples():
 
 
 def test_gcd_exponents_against_subsets():
+    # repeats and divisor chains, explicit and drawn from the divisors of 360,
+    # cancel whole groups of subsets, so their exponents must still match
     rng = random.Random(3)
-    for _ in range(200):
-        values = [rng.randint(1, 60) for _ in range(rng.randint(1, 8))]
-        assert gcd_exponents(values) == gcd_exponents_by_subsets(values)
+    explicit = [[4, 4, 2, 8], [6, 6, 3], [12, 6, 6, 3, 1], [9, 27, 3, 9, 3], [5, 5, 5, 5]]
+    drawn = [[rng.randint(1, 60) for _ in range(rng.randint(1, 8))] for _ in range(200)]
+    chains = [[rng.choice(divisors(360)) for _ in range(rng.randint(1, 8))] for _ in range(100)]
+    for values in explicit + drawn + chains:
+        exps = gcd_exponents(values)
+        assert exps == gcd_exponents_by_subsets(values), values
+        assert 0 not in exps.values(), values
 
 
 def test_lcm_examples():

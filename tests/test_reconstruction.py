@@ -28,7 +28,7 @@ from persum.reconstruction import (
     table_from_json_dict,
     table_to_json_dict,
 )
-from persum.spectrum import PeriodSystem, build_spectrum
+from persum.spectrum import PeriodSystem, build_spectrum, size_by_inclusion_exclusion
 
 TABLE_2_3_ROWS = (
     (1, 0, 0, 0),
@@ -568,6 +568,25 @@ def test_finewilf_window_is_sharp():
     assert window == 4
     assert all(g(x) == h(x) for x in range(window - 1))
     assert g(3) != h(3)
+
+
+def test_gcd_of_any_l_values_is_the_gcd_over_z():
+    # the local-global fact both gcd windows rest on: every table row is an
+    # integer vector, so each value of an integer sum is an integer
+    # combination of any l consecutive values, wherever they start
+    rng = random.Random(48)
+    for _ in range(200):
+        periods = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        factor = rng.choice([1, 2, 6])
+        psi = SumOfPeriodicMaps(tuple(
+            PeriodicMap(tuple(factor * rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)))
+            for n in periods
+        ))
+        ps = psi.period_system
+        width, n_rows = size_by_inclusion_exclusion(ps), ps.modulus
+        whole = math.gcd(*(psi(x) for x in range(n_rows)))
+        for a in (rng.randint(-2 * n_rows, 2 * n_rows) for _ in range(3)):
+            assert math.gcd(*(psi(a + r) for r in range(width))) == whole, (periods, a)
 
 
 def test_finewilf_requires_integer_values():
