@@ -32,11 +32,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .covering import (
+    all_in_class,
     maximal_moduli_distinct,
     # not called here; perfbench/tracing.py wraps persum.cli.multiplicity by name
     multiplicity,  # noqa: F401
     multiplicity_window,
     parse_residue_system,
+    window_gcd,
 )
 from .cyclotomic import characteristic_poly
 from .groups import IntVector, ModInt
@@ -55,7 +57,6 @@ from .reconstruction import (
 from .spectrum import (
     PeriodSystem,
     build_spectrum,
-    fraction_str,
     size_by_inclusion_exclusion,
     size_by_phi,
 )
@@ -194,10 +195,10 @@ def cmd_spectrum(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
     check_size(ps)
     sp = build_spectrum(ps)
-    sizes = (len(sp.elements), size_by_phi(ps), size_by_inclusion_exclusion(ps))
+    sizes = (len(sp), size_by_phi(ps), size_by_inclusion_exclusion(ps))
     return {
         "periods": [str(n) for n in ps.periods],
-        "elements": [fraction_str(q) for q in sp.elements],
+        "elements": sp.labels(),
         "modulus": str(ps.modulus),
         "divisor_closure": [str(d) for d in ps.divisor_closure],
         "size_enumerated": str(sizes[0]),
@@ -287,31 +288,35 @@ def _load_system(args):
 
 
 def cmd_cover(args) -> dict:
+    """The multiplicity window of length l from --start, and each verdict asked
+    for. A window holds at most k + 1 distinct values for k classes, so each
+    verdict is taken over the window's set, and each value's text is made once."""
     system = _load_system(args)
     if args.check is not None and args.check[0] < 1:
         raise ValueError(f"check modulus must be positive, got {args.check[0]}")
     length = system.window_length()
     window = multiplicity_window(system, args.start, length)
+    seen = set(window)
     doc = {
         "classes": [[str(c.residue), str(c.modulus)] for c in system.classes],
         "window_length": str(length),
         "start": str(args.start),
-        "window": [str(w) for w in window],
+        "window": list(map({v: str(v) for v in seen}.__getitem__, window)),
         "maximal_moduli_distinct": maximal_moduli_distinct(system),
     }
     if args.odd:
-        doc["odd_cover"] = all(w % 2 == 1 for w in window)
+        doc["odd_cover"] = all_in_class(seen, 2, 1)
     if args.check is not None:
         m, a = args.check
         doc["class_check"] = {
             "m": str(m),
             "a": str(a % m),
-            "ok": all(w % m == a % m for w in window),
+            "ok": all_in_class(seen, m, a),
             "window": doc["window"],
         }
     if args.gcd_window is not None:
         a, b = args.gcd_window
-        value = math.gcd(*(w + b for w in multiplicity_window(system, a, length)))
+        value = window_gcd(multiplicity_window(system, a, length), b)
         doc["gcd_window"] = {
             "a": str(a),
             "b": str(b),

@@ -11,13 +11,17 @@ are pairwise distinct.
 
 Every window comes from multiplicity_window, which marks each class's
 members instead of testing every class at every position: L + sum(L/n_s + 1)
-steps for a window of length L, against L*k for k classes.
+steps for a window of length L, against L*k for k classes. Its values are
+multiplicities, 0 to k, so a window holds at most k + 1 distinct values,
+and both verdicts (all_in_class, window_gcd) are taken over those.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from collections.abc import Iterable
 
 from .numth import Record, check_int, check_positive, strict_int
 from .reconstruction import PeriodicMap, check_size
@@ -120,8 +124,13 @@ def window_class_check(sys: ResidueSystem, m: int, a: int, start: int) -> Window
     """
     check_positive(m, "m")
     window = tuple(multiplicity_window(sys, start, sys.window_length()))
-    ok = all(w % m == a % m for w in window)
-    return WindowClassResult(ok, window, start)
+    return WindowClassResult(all_in_class(set(window), m, a), window, start)
+
+
+def all_in_class(values: Iterable[int], m: int, a: int) -> bool:
+    """Whether every value lies in a (mod m), for m >= 1."""
+    a %= m
+    return all(v % m == a for v in values)
 
 
 def odd_cover_check(sys: ResidueSystem, start: int = 0) -> bool:
@@ -137,15 +146,14 @@ def maximal_moduli_distinct(sys: ResidueSystem) -> bool:
     """Whether the divisibility-maximal moduli carry no repeated value.
 
     A modulus is maximal when it divides no other modulus of the multiset
-    apart from copies of itself. Repeats among non-maximal moduli are
-    irrelevant.
+    apart from copies of itself; each must occur exactly once. Repeats among
+    non-maximal moduli are irrelevant.
     """
-    moduli = sys.moduli
-    maximal = [
-        n for n in moduli
-        if not any(other != n and other % n == 0 for other in moduli)
-    ]
-    return len(maximal) == len(set(maximal))
+    counts = Counter(sys.moduli)
+    return all(
+        counts[n] == 1 for n in counts
+        if not any(other != n and other % n == 0 for other in counts)
+    )
 
 
 def gcd_window(sys: ResidueSystem, a: int, b: int) -> int:
@@ -156,7 +164,12 @@ def gcd_window(sys: ResidueSystem, a: int, b: int) -> int:
     reported by maximal_moduli_distinct, not enforced here. An all-zero
     window comes back as 0.
     """
-    return math.gcd(*(w + b for w in multiplicity_window(sys, a, sys.window_length())))
+    return window_gcd(multiplicity_window(sys, a, sys.window_length()), b)
+
+
+def window_gcd(window: Iterable[int], b: int) -> int:
+    """gcd of w + b over the window's distinct values w; 0 when every w + b is 0."""
+    return math.gcd(*[v + b for v in set(window)])
 
 
 def parse_residue_system(text: str) -> ResidueSystem:

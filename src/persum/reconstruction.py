@@ -41,7 +41,6 @@ from .numth import Record, strict_int
 from .spectrum import (
     PeriodSystem,
     build_spectrum,
-    fraction_str,
     parse_fraction,
     size_by_inclusion_exclusion,
 )
@@ -304,7 +303,7 @@ def table_json_fields(table: CoefficientTable) -> dict:
         "periods": [str(n) for n in table.periods],
         "N": str(table.modulus),
         "l": str(table.width),
-        "spectrum": [fraction_str(q) for q in build_spectrum(table.system).elements],
+        "spectrum": build_spectrum(table.system).labels(),
         "charpoly": [str(c) for c in charpoly],
         "recurrence": [str(a) for a in recurrence],
     }

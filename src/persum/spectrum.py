@@ -5,11 +5,15 @@ constancy machinery in this package, so it can be computed three independent
 ways: by direct enumeration, by a totient sum over the divisor closure, and
 by inclusion-exclusion over gcds of period subsets. The test suite requires
 the three to agree.
+
+A spectrum is held as ints over N, and `fractions` is imported only where a
+Fraction is made (`Spectrum.elements`, `parse_fraction`), so a command that
+writes a spectrum loads neither `fractions` nor the `decimal` it imports.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .numth import Record, check_positive, divisors, euler_phi, gcd_exponents, lcm_all, strict_int
 
@@ -42,23 +46,40 @@ class PeriodSystem(Record):
 
 
 class Spectrum(Record):
-    """Ascending reduced fractions, with the divisor closure as denominators."""
+    """Ascending values in [0, 1), held as their int numerators over the
+    common denominator `modulus`, N. Its denominators are the divisor closure
+    of the periods, whose lcm is N, so equal spectra have equal fields.
+    `elements` and `labels()` make the fractions and their text on request."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("modulus", "numerators")
 
-    def __init__(self, elements: tuple[Fraction, ...]):
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, modulus: int, numerators: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "numerators", tuple(numerators))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.numerators)
+
+    @property
+    def elements(self) -> tuple[Fraction, ...]:
+        """The values as reduced Fractions, ascending; built on each read."""
+        from fractions import Fraction
+
+        n = self.modulus
+        return tuple(Fraction(a, n) for a in self.numerators)
+
+    def labels(self) -> list[str]:
+        """The values' `fraction_str` text, "num/den" in lowest terms,
+        written from the ints without a Fraction."""
+        n, gcd = self.modulus, math.gcd
+        return [f"{a // g}/{n // g}" for a in self.numerators for g in (gcd(a, n),)]
 
 
 def build_spectrum(ps: PeriodSystem) -> Spectrum:
-    """The distinct reduced values r/n_s over all periods, ascending; merged and
-    sorted as the int numerators r*(N/n_s) over N, then made Fractions once."""
+    """The distinct reduced values r/n_s over all periods, ascending, as the
+    int numerators r*(N/n_s) over N = ps.modulus; no Fraction is built."""
     n = ps.modulus
-    numerators = sorted({r * (n // m) for m in ps.periods for r in range(m)})
-    return Spectrum(tuple(Fraction(a, n) for a in numerators))
+    return Spectrum(n, sorted({r * (n // m) for m in ps.periods for r in range(m)}))
 
 
 def size_by_phi(ps: PeriodSystem) -> int:
@@ -91,4 +112,6 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"expected num/den, got {text!r}") from None
     if denominator < 1:
         raise ValueError(f"denominator must be positive in {text!r}")
+    from fractions import Fraction
+
     return Fraction(numerator, denominator)

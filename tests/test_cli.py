@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,13 +20,14 @@ import persum.cyclotomic
 import persum.reconstruction
 import persum.spectrum
 from persum.cli import integer, main, positive_int
+from persum.covering import ResidueClass, ResidueSystem, multiplicity
 from persum.reconstruction import (
     coefficient_table,
     extrapolate,
     table_from_json_dict,
     table_to_json_dict,
 )
-from persum.spectrum import PeriodSystem
+from persum.spectrum import PeriodSystem, build_spectrum
 
 
 def run(capsys, *argv):
@@ -496,13 +498,18 @@ def test_main_builds_no_subparser_for_a_request_and_all_six_otherwise(capsys, mo
         assert sorted(built) == sorted(commands)
 
 
-def imported_by_python_m_persum(*argv):
-    """The modules a fresh `python -m persum argv` imports, by -X importtime."""
+def imported_by_python(*args):
+    """The modules a fresh `python args` imports, by -X importtime."""
     env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "persum", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, env=env, timeout=60)
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     return proc.returncode, proc.stdout, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def imported_by_python_m_persum(*argv):
+    """The modules a fresh `python -m persum argv` imports."""
+    return imported_by_python("-m", "persum", *argv)
 
 
 def test_a_valid_command_imports_neither_argparse_nor_locale():
@@ -515,6 +522,23 @@ def test_a_valid_command_imports_neither_argparse_nor_locale():
     code, out, modules = imported_by_python_m_persum("spectrum", "--help")
     assert (code, out[:22]) == (0, "usage: persum spectrum")
     assert {"argparse", "locale"} <= modules
+
+
+def test_writing_a_spectrum_imports_neither_fractions_nor_decimal():
+    for argv, field in ((["spectrum", "2", "3"], "elements"), (["coeffs", "2", "3"], "spectrum")):
+        code, out, modules = imported_by_python_m_persum(*argv)
+        assert code == 0
+        assert json.loads(out)[field] == ["0/1", "1/3", "1/2", "2/3"]
+        assert "persum.cli" in modules
+        assert not modules & {"fractions", "decimal"}, argv
+    # a table load parses its spectrum into Fractions, so the check can see them
+    code, out, modules = imported_by_python("-c", (
+        "from persum import PeriodSystem, coefficient_table, table_from_json_dict, table_to_json_dict\n"
+        "table = coefficient_table(PeriodSystem((2, 3)))\n"
+        "print(table_from_json_dict(table_to_json_dict(table)) == table)\n"
+    ))
+    assert (code, out) == (0, "True\n")
+    assert {"fractions", "decimal"} <= modules
 
 
 def test_argv_integers_keep_their_sign_and_size(capsys):
@@ -668,6 +692,63 @@ def test_cover_tests_no_class_per_position(capsys, monkeypatch):
     )
     assert code == 0, err
     assert out == json.dumps(COVER_MIXED, indent=2) + "\n"
+
+
+def maximal_moduli_distinct_by_multiset(moduli):
+    # the O(k^2) rule over the multiset, kept as the oracle of the scan over
+    # distinct moduli
+    maximal = [n for n in moduli if not any(other != n and other % n == 0 for other in moduli)]
+    return len(maximal) == len(set(maximal))
+
+
+def random_cover_classes(rng, case):
+    """A residue system as (a, n) pairs, moduli up to 12: one class, or up to
+    four, then maybe a repeated class, or two more classes on a maximal
+    modulus or on a non-maximal one."""
+    if case == "one class":
+        return [(rng.randrange(-12, 12), rng.randint(1, 12))]
+    pairs = [(rng.randrange(-12, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+    top = max(n for _, n in pairs)
+    if case == "repeated class":
+        pairs.append(rng.choice(pairs))
+    elif case == "repeated maximal modulus":
+        pairs += [(rng.randrange(top), top), (rng.randrange(top), top)]
+    elif case == "repeated non-maximal modulus":
+        d = rng.choice([d for d in range(1, top) if top % d == 0] or [top])
+        pairs += [(rng.randrange(d), d), (rng.randrange(d), d)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_cover_verdicts_match_point_by_point_multiplicities(capsys):
+    rng = random.Random(18)
+    cases = ("one class", "plain", "repeated class", "repeated maximal modulus", "repeated non-maximal modulus")
+    seen = {"odd": set(), "ok": set(), "distinct": set(), "zero": set()}
+    for i in range(400):
+        pairs = random_cover_classes(rng, cases[i % len(cases)])
+        system = ResidueSystem(tuple(ResidueClass(a, n) for a, n in pairs))
+        start, m, ca = rng.randrange(-30, 30), rng.randint(1, 4), rng.randrange(-4, 4)
+        # b in {0, -1, -2}: a window of constant multiplicity -b gcds to 0
+        ga, gb = rng.randrange(-30, 30), -rng.randint(0, 2)
+        doc = run_json(capsys, "cover", "--classes", *(f"{a} mod {n}" for a, n in pairs),
+                       "--start", str(start), "--odd", "--check", str(m), str(ca),
+                       "--gcd-window", str(ga), str(gb))
+        length = len(build_spectrum(system.period_system))
+        assert doc["window_length"] == str(length), pairs
+        counts = [multiplicity(system, x) for x in range(start, start + length)]
+        assert doc["window"] == [str(c) for c in counts], pairs
+        assert doc["odd_cover"] is all(c % 2 == 1 for c in counts), pairs
+        assert doc["class_check"]["ok"] is all((c - ca) % m == 0 for c in counts), pairs
+        value = math.gcd(*(multiplicity(system, ga + r) + gb for r in range(length)))
+        assert doc["gcd_window"]["value"] == str(value), pairs
+        assert doc["gcd_window"]["all_zero_window"] is (value == 0), pairs
+        distinct = maximal_moduli_distinct_by_multiset([n for _, n in pairs])
+        assert doc["maximal_moduli_distinct"] is distinct, pairs
+        for name, verdict in (("odd", doc["odd_cover"]), ("ok", doc["class_check"]["ok"]),
+                              ("distinct", distinct), ("zero", value == 0)):
+            seen[name].add(verdict)
+    # every verdict was drawn both ways
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
 def test_cover_on_four_hundred_classes_is_fast(capsys):

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from persum.numth import divisors
 from persum.spectrum import (
     PeriodSystem,
     Spectrum,
@@ -92,6 +95,31 @@ def test_spectrum_matches_brute_force():
         expect = brute_spectrum_pairs(ps.periods)
         got = [(f.numerator, f.denominator) for f in sp.elements]
         assert got == expect
+
+
+@st.composite
+def period_systems(draw):
+    """At most 4 periods up to 60, often with a divisor chain below the
+    first period or a repeated period, in any order."""
+    periods = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    n = periods[0]
+    while len(periods) < 4 and draw(st.booleans()):
+        n = draw(st.sampled_from(divisors(n)))
+        periods.append(n)
+    if len(periods) < 4 and draw(st.booleans()):
+        periods.append(draw(st.sampled_from(periods)))
+    return PeriodSystem(tuple(draw(st.permutations(periods))))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(period_systems())
+def test_spectrum_matches_the_fraction_set(ps):
+    # independent oracle: every r/m as a Fraction, merged and sorted
+    expect = sorted({Fraction(r, m) for m in ps.periods for r in range(m)})
+    sp = build_spectrum(ps)
+    assert sp.labels() == [fraction_str(q) for q in expect]
+    assert sp.elements == tuple(expect)
+    assert len(sp) == size_by_phi(ps)
 
 
 def test_spectrum_elements_are_reduced_and_sorted():
