@@ -4,9 +4,10 @@ All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
 `json.dumps(doc, indent=2)` plus a newline, laid out by one writer, `_write`.
-A `coeffs` document holds its table's rows as they are, a tuple of int
-tuples; `_write` writes each row as one piece of quoted decimal strings, so
-no list of cell strings and no whole text is built.
+A `coeffs` document holds its table's rows as a `reconstruction.TableRows`,
+not yet walked; `_write` walks them as it writes, each row the list of its
+cells' quoted decimal strings, written as one piece, so no table, no whole
+text and no per-cell lookup is needed.
 Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
@@ -26,7 +27,6 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,12 +45,15 @@ from .groups import IntVector, ModInt
 from .numth import strict_int
 from .reconstruction import (
     PeriodicMap,
+    TableRows,
     TableSizeError,
     check_size,
-    coefficient_table,
+    # not called here; perfbench/tracing.py wraps persum.cli.coefficient_table by name
+    coefficient_table,  # noqa: F401
     extrapolate,
     finewilf_difference_gcd,
     table_json_fields,
+    table_rows,
     # not called here; perfbench/tracing.py wraps persum.cli.table_to_json_dict by name
     table_to_json_dict,  # noqa: F401
 )
@@ -221,8 +224,9 @@ def cmd_charpoly(args) -> dict:
 
 
 def cmd_coeffs(args) -> dict | None:
-    table = coefficient_table(PeriodSystem(tuple(args.periods)))
-    doc = {**table_json_fields(table), "rows": table.rows}
+    ps = PeriodSystem(tuple(args.periods))
+    rows = table_rows(ps)  # sized and refused before the file is opened
+    doc = {**table_json_fields(ps, rows.recurrence), "rows": rows}
     if not args.out:
         return doc
     # Write over the old bytes, then cut the file to length. Opening with
@@ -406,8 +410,8 @@ def _dumps(doc) -> str:
 
 class _QuotedCell(dict):
     """The JSON token of a table cell, its quoted decimal string, made once
-    per distinct value: a table holds few. The memo is keyed by value, and
-    True and 1.0 equal 1, so `_write` checks the cells' types first."""
+    per distinct value: a table holds few. Every cell `_write` passes in is
+    an int that `TableRows.walk` computed, so a memo keyed by value is exact."""
 
     def __missing__(self, cell: int) -> str:
         token = self[cell] = f'"{cell}"'
@@ -417,20 +421,32 @@ class _QuotedCell(dict):
 def _write(value, indent: str, emit) -> None:
     """Pass to emit, in pieces, the text of `json.dumps(value, indent=2)` for
     a tree of str-keyed dicts, lists, strings, booleans and table rows (a
-    tuple of int tuples, written as lists of decimal strings, one piece per
-    row); indent is the newline and indent of the enclosing level. Any
-    other value raises TypeError.
+    `TableRows`, written as lists of decimal strings, one piece per row);
+    indent is the newline and indent of the enclosing level. Any other value,
+    a tuple included, raises TypeError.
 
     `json.dumps` runs its pure-Python encoder whenever `indent` is set. Here
     a list of strings that need no escape (printable ASCII without `"` or
     `\\`, one test over their join) is written by a single join; any other
-    string is quoted by `json`'s own escaper, so the text stays exact.
+    string is quoted by `json`'s own escaper, so the text stays exact. The
+    rows are walked as they are written, each as the list of its cells'
+    tokens, so no table is held.
     """
     if isinstance(value, str):
         emit(encode_basestring_ascii(value))
     elif value is True or value is False:
         emit("true" if value else "false")
-    elif not isinstance(value, (dict, list, tuple)):
+    elif isinstance(value, TableRows):
+        inner = indent + "  "
+        cell = inner + "  "
+        comma = "," + cell
+        sep = "[" + inner
+        for row in value.walk(_QuotedCell().__getitem__):
+            # one f-string, so the row's text is copied once
+            emit(f"{sep}[{cell}{comma.join(row)}{inner}]")
+            sep = "," + inner
+        emit(indent + "]" if value.count else "[]")
+    elif not isinstance(value, (dict, list)):
         raise TypeError(f"{type(value).__name__} is not a persum JSON value")
     elif not value:
         emit("{}" if isinstance(value, dict) else "[]")
@@ -445,32 +461,18 @@ def _write(value, indent: str, emit) -> None:
     else:
         inner = indent + "  "
         sep = "[" + inner
-        if isinstance(value, tuple):  # a table's rows
-            cell = inner + "  "
-            comma = "," + cell
-            # every cell's type, in one pass that runs no bytecode per cell
-            kinds = {*map(type, chain.from_iterable(value))}
-            kinds.discard(int)
-            if kinds:
-                raise TypeError(f"{kinds.pop().__name__} is not a table cell")
-            token = _QuotedCell().__getitem__
-            for row in value:
-                # one f-string, so the row's text is copied once
-                emit(f"{sep}[{cell}{comma.join(map(token, row))}{inner}]" if row else sep + "[]")
+        try:
+            joined = "".join(value)
+        except TypeError:  # not all strings
+            for item in value:
+                emit(sep)
+                _write(item, inner, emit)
                 sep = "," + inner
         else:
-            try:
-                joined = "".join(value)
-            except TypeError:  # not all strings
-                for item in value:
-                    emit(sep)
-                    _write(item, inner, emit)
-                    sep = "," + inner
+            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
+                emit(sep + '"' + ('",' + inner + '"').join(value) + '"')
             else:
-                if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
-                    emit(sep + '"' + ('",' + inner + '"').join(value) + '"')
-                else:
-                    emit(sep + ("," + inner).join(map(encode_basestring_ascii, value)))
+                emit(sep + ("," + inner).join(map(encode_basestring_ascii, value)))
         emit(indent + "]")
 
 

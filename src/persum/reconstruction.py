@@ -10,12 +10,16 @@ P by flipping the signs of everything below the leading term.
 Row n is the coordinate vector of x^n mod P in the basis 1, x, ...,
 x^(l-1). Row 0 is x^0, and each row is x times the one before it, reduced
 mod P: shifted up one place, plus its top entry times the reversed
-recurrence. The first l rows are the identity block, since x^r with r < l
-needs no reduction. Walked from row 0, that O(l) shift fills the table and
-verifies a table loaded from JSON, across the wrap from row N-1 back to
-row 0 too. A single value needs only one row, x^(x mod N) mod P, which
-extrapolate computes by powering left to right with x as the multiplier
-(Fiduccia's method) when it is given the period system instead of a table.
+recurrence. P is a product of cyclotomic polynomials, mostly zero
+coefficients, so a row differs from the plain shift only under P's nonzero
+coefficients, and only when the top entry is nonzero. The first l rows
+are the identity block, since x^r with r < l needs no reduction. One walk,
+`TableRows.walk`, does that shift: it fills the table, feeds the CLI
+writer the rows as cell text one row at a time, and verifies a table
+loaded from JSON, across the wrap from row N-1 back to row 0 too. A single
+value needs only one row, x^(x mod N) mod P, which extrapolate computes by
+powering left to right with x as the multiplier (Fiduccia's method) when it
+is given the period system instead of a table.
 
 l consecutive values decide such a map (the paper's local-global theorem),
 so l sizes every window certificate: the constancy window, the difference
@@ -25,10 +29,11 @@ windows, each counted as check_size counts l, by size_by_inclusion_exclusion.
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
 closure. One rule sizes a table, before any other work: N*l cells at most
-DEFAULT_MAX_CELLS (see check_size), each about 8 bytes, a pointer to an
-int shared with the other cells of its value. As l >= 1 + sum(q - 1) over
-the prime powers q exactly dividing N, no N above 360360 has l <= 50, so
-the rule also refuses every N above 10^6.
+DEFAULT_MAX_CELLS (see check_size). A table held whole costs about 8
+bytes a cell, a pointer to an int shared with the other cells of its
+value; streamed to the CLI writer, only a row or two is held at a time.
+As l >= 1 + sum(q - 1) over the prime powers q exactly dividing N, no N
+above 360360 has l <= 50, so the rule also refuses every N above 10^6.
 """
 
 from __future__ import annotations
@@ -191,36 +196,81 @@ def check_size(ps: PeriodSystem, rows: int | None = None) -> None:
             raise TableSizeError(what.format(_count(width)) + cap)
 
 
-def _shift(row: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...]:
-    """The table row after row: x times its residue, reduced mod P.
+class TableRows(Record):
+    """Rows 0, ..., count-1 of the table of a recurrence, walked on demand.
 
-    tail is the recurrence reversed, (a_l, ..., a_1), the coordinates of
-    x^l mod P; the new row is (top*a_l, row[0] + top*a_(l-1), ...,
-    row[l-2] + top*a_1) with top = row[l-1].
+    Row n is the coordinate vector of x^n mod P, for P the monic polynomial
+    z^l - a_1 z^(l-1) - ... - a_l of the recurrence (a_1, ..., a_l). Each
+    row is x times the row before: shifted up one place, plus its top entry
+    times the reversed recurrence, which is nonzero only under P's nonzero
+    coefficients. Only `walk` computes a row; the CLI writer takes these
+    rows as their own case, since every cell is an int the walk computed.
     """
-    top = row[-1]
-    shifted = (0,) + row
-    if not top:
-        return shifted[:-1]
-    return tuple([top * a + r for a, r in zip(tail, shifted)])
+
+    __slots__ = ("recurrence", "count")
+
+    def __init__(self, recurrence: tuple[int, ...], count: int):
+        recurrence = tuple(recurrence)
+        if not recurrence:
+            raise ValueError("a table needs a recurrence of length >= 1")
+        object.__setattr__(self, "recurrence", recurrence)
+        object.__setattr__(self, "count", count)
+
+    def walk(self, cell=None):
+        """Each row in turn, from x^0, as a new list of its int entries, or
+        of cell(c) for each entry c when cell is given; the next row is made
+        from it, so it must not be changed.
+
+        A row is the row before shifted one place: one list copy, whose
+        insert at 0 moves the entries in C. When that row's top entry is
+        nonzero, only the entries under the recurrence's nonzero coefficients
+        are then recomputed as ints; with cell given, a second list, of
+        cells, is shifted alike, and just those entries are passed through
+        cell again. So no entry is computed or encoded where it cannot differ
+        from the shift."""
+        tail = self.recurrence[::-1]
+        sparse = [(j, a) for j, a in enumerate(tail) if a]
+        row = [1] + [0] * (len(tail) - 1)
+        if cell is None:
+            for _ in range(self.count):
+                yield row
+                top = row[-1]
+                row = row[:-1]
+                row.insert(0, 0)
+                if top:
+                    for j, a in sparse:
+                        row[j] += top * a
+            return
+        cells = list(map(cell, row))
+        blank = cell(0)
+        for _ in range(self.count):
+            yield cells
+            top = row[-1]
+            row = row[:-1]
+            row.insert(0, 0)
+            cells = cells[:-1]
+            cells.insert(0, blank)
+            if top:
+                for j, a in sparse:
+                    row[j] = c = row[j] + top * a
+                    cells[j] = cell(c)
+
+
+def table_rows(ps: PeriodSystem) -> TableRows:
+    """The N rows of the period system's table, not yet walked. Raises
+    TableSizeError when N*l exceeds DEFAULT_MAX_CELLS, before anything else
+    is computed, so a runaway lcm or spectrum cannot thrash memory; then
+    builds the recurrence."""
+    n_rows = ps.modulus
+    check_size(ps, n_rows)
+    return TableRows(recurrence_coeffs(characteristic_poly(ps)), n_rows)
 
 
 def coefficient_table(ps: PeriodSystem) -> CoefficientTable:
-    """Build the full reconstruction table for a period system.
-
-    Row 0 is x^0 = (1, 0, ..., 0) and each later row is one O(l) shift of
-    the row before it. Raises TableSizeError when N*l exceeds
-    DEFAULT_MAX_CELLS, before anything else is computed, so a runaway lcm
-    or spectrum cannot thrash memory.
-    """
-    n_rows = ps.modulus
-    check_size(ps, n_rows)
-    coeffs = recurrence_coeffs(characteristic_poly(ps))
-    tail = coeffs[::-1]
-    rows = [(1,) + (0,) * (len(coeffs) - 1)]
-    for _ in range(1, n_rows):
-        rows.append(_shift(rows[-1], tail))
-    return CoefficientTable(ps, coeffs, tuple(rows))
+    """Build the full reconstruction table for a period system: the int rows
+    of `table_rows(ps)`, refused as it refuses."""
+    rows = table_rows(ps)
+    return CoefficientTable(ps, rows.recurrence, tuple(map(tuple, rows.walk())))
 
 
 def _check_initial(initial: tuple, width: int) -> None:
@@ -294,16 +344,15 @@ def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     return math.gcd(*(g(r) - h(r) for r in range(window)))
 
 
-def table_json_fields(table: CoefficientTable) -> dict:
-    """Every field of the table's JSON document but the last, its rows, in
-    document order; every number is a decimal string."""
-    recurrence = table.recurrence
+def table_json_fields(ps: PeriodSystem, recurrence: tuple[int, ...]) -> dict:
+    """Every field of the JSON document of the period system's table but the
+    last, its rows, in document order; every number is a decimal string."""
     charpoly = [-a for a in reversed(recurrence)] + [1]
     return {
-        "periods": [str(n) for n in table.periods],
-        "N": str(table.modulus),
-        "l": str(table.width),
-        "spectrum": build_spectrum(table.system).labels(),
+        "periods": [str(n) for n in ps.periods],
+        "N": str(ps.modulus),
+        "l": str(len(recurrence)),
+        "spectrum": build_spectrum(ps).labels(),
         "charpoly": [str(c) for c in charpoly],
         "recurrence": [str(a) for a in recurrence],
     }
@@ -313,7 +362,8 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     """The table as a JSON-ready document; every number is a decimal string."""
     # a table holds few distinct values, so its cells share one string each
     cell = {c: str(c) for c in set().union(*table.rows)}.__getitem__
-    return {**table_json_fields(table), "rows": [list(map(cell, row)) for row in table.rows]}
+    rows = [list(map(cell, row)) for row in table.rows]
+    return {**table_json_fields(table.system, table.recurrence), "rows": rows}
 
 
 class _CellReader(dict):
@@ -367,15 +417,14 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
     if (ps.modulus != n_rows or set(ps.divisor_closure) != {q.denominator for q in elements}
             or build_spectrum(ps).elements != elements):
         raise ValueError("malformed table document: spectrum or N disagrees with the periods")
-    tail = recurrence[::-1]
-    expected = (1,) + (0,) * (width - 1)
-    for n, row in enumerate(rows):
-        if row != expected:
+    # row N of the walk is x^N mod P, which must wrap back to row 0
+    expected = TableRows(recurrence, n_rows + 1).walk()
+    for n, (row, shifted) in enumerate(zip(rows, expected)):
+        if list(row) != shifted:
             if n < width:
                 raise ValueError("malformed table document: the first l rows are not the identity block")
             raise ValueError(f"malformed table document: row {n} is not the shift of row {n - 1}")
-        expected = _shift(row, tail)
-    if expected != rows[0]:
+    if tuple(next(expected)) != rows[0]:
         raise ValueError("malformed table document: the shift of row N-1 is not row 0")
     if IntPolynomial(charpoly) != characteristic_poly(ps):
         raise ValueError("malformed table document: charpoly is not the spectrum's")

@@ -197,6 +197,34 @@ def test_coeffs_cell_cap_exit_code(capsys):
     assert err == "error: table too large: 7072 rows of 7072 cells or more exceed the cap of 50000000\n"
 
 
+# Linux carries a process's peak RSS across exec, so the peak of one persum
+# process is read by a small interpreter that starts it, not by the test
+PEAK_OF_ONE_COMMAND = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-m", "persum", *sys.argv[1:]])
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_coeffs_out_holds_no_table(tmp_path):
+    # (3001,): 3001 rows of 3001 cells, 9,006,001 cells; a table held whole
+    # peaked at 84 MB, the rows streamed one at a time take about 17 MB
+    target = tmp_path / "table.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_OF_ONE_COMMAND, "coeffs", "3001", "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kb < 50 * 1024
+    # row N-1 is x^3000, the last unit vector
+    with open(target, "rb") as fh:
+        fh.seek(-40, os.SEEK_END)
+        assert fh.read().endswith(b'"0",\n      "1"\n    ]\n  ]\n}\n')
+    target.unlink()  # 99 MB
+
+
 def test_extrapolate_int(capsys):
     doc = run_json(
         capsys, "extrapolate", "--periods", "2", "3", "--initial", "1", "0", "2", "0",

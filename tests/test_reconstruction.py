@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import persum.cyclotomic
 import persum.reconstruction
 import persum.spectrum
-from persum.cyclotomic import IntPolynomial, characteristic_poly, cyclotomic_poly
+from persum.cyclotomic import X, IntPolynomial, characteristic_poly, cyclotomic_poly, poly_powmod
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
     CoefficientTable,
@@ -26,6 +26,7 @@ from persum.reconstruction import (
     finewilf_difference_gcd,
     recurrence_coeffs,
     table_from_json_dict,
+    table_rows,
     table_to_json_dict,
 )
 from persum.spectrum import PeriodSystem, build_spectrum, size_by_inclusion_exclusion
@@ -189,6 +190,33 @@ def test_shift_fill_matches_predecessor_sum_oracle():
         t = coefficient_table(PeriodSystem(periods))
         assert t.rows == predecessor_sum_rows(t.recurrence, t.modulus), periods
         checked += 1
+
+
+@pytest.mark.parametrize("periods, nonzero", [
+    ((97, 101), 193),
+    ((199, 211), 397),
+    ((60, 84, 90), 23),
+    ((210, 330, 462), 53),
+], ids=str)
+def test_walked_rows_match_poly_powmod(periods, nonzero):
+    # dense P (193 of l = 197 and 397 of 409 lower coefficients nonzero) and
+    # sparse P (23 of 192 and 53 of 870), where a row differs from the shift
+    # of the row before only under P's nonzero coefficients; both walks,
+    # ints and cells, against the generic powering at random n
+    ps = PeriodSystem(periods)
+    charpoly = characteristic_poly(ps)
+    assert sum(1 for c in charpoly.coeffs[:-1] if c) == nonzero
+    rows = table_rows(ps)
+    width, n_rows = charpoly.degree, ps.modulus
+    rng = random.Random(sum(periods))
+    picks = {0, width - 1, width, n_rows - 1, *rng.sample(range(n_rows), 12)}
+    for n, (row, text) in enumerate(zip(rows.walk(), rows.walk(str))):
+        if n in picks:
+            coeffs = poly_powmod(X, n, charpoly).coeffs
+            expect = list(coeffs) + [0] * (width - len(coeffs))
+            assert row == expect, (periods, n)
+            assert text == list(map(str, expect)), (periods, n)
+    assert n == n_rows - 1
 
 
 def test_table_size_cap_checked_before_any_work(monkeypatch):

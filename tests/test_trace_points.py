@@ -43,9 +43,13 @@ exec(compile(pathlib.Path(path).read_text(), path, "exec"), tracing.__dict__)
 tracer = tracing.Tracer()
 tracer.install()
 import persum.cli
+from persum.spectrum import PeriodSystem
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [persum.cli.main(argv) for argv in argvs]
+# coeffs streams its rows and builds no table, so the hooked table builder
+# is called by name as well
+persum.cli.coefficient_table(PeriodSystem((2, 3)))
 print(json.dumps({"codes": codes, "counts": dict(tracer.counts)}))
 """
 
