@@ -1,15 +1,13 @@
 """Exact integer-coefficient polynomials and cyclotomic factor products.
 
-Coefficients are stored in ascending degree order (constant term first);
-printing is descending. All arithmetic stays in arbitrary-precision ints,
-and division is only offered against divisors with a unit leading
-coefficient. Cyclotomic and characteristic polynomials are both formed as
-products of binomials (x^g - 1)^e_g, one O(degree) pass per factor.
+Coefficients are stored in ascending degree order (constant term first).
+All arithmetic stays in arbitrary-precision ints, and division is only
+offered against divisors with a unit leading coefficient. Cyclotomic and
+characteristic polynomials are both formed as products of binomials
+(x^g - 1)^e_g, one O(degree) pass per factor.
 
 >>> cyclotomic_poly(6)
 IntPolynomial(coeffs=(1, -1, 1))
->>> print(cyclotomic_poly(6))
-x^2 - x + 1
 """
 
 from __future__ import annotations
@@ -51,34 +49,7 @@ class IntPolynomial(Record):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coeff(self, i: int) -> int:
-        """Coefficient of x^i, 0 beyond the stored range."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def evaluate(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self.coeffs)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -91,8 +62,6 @@ class IntPolynomial(Record):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def divmod_exact(self, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Quotient and remainder against q, staying inside Z[x].
@@ -119,27 +88,6 @@ class IntPolynomial(Record):
             for j in range(qlen):
                 rem[shift + j] -= c * q.coeffs[j]
         return IntPolynomial(quot), IntPolynomial(rem[: qlen - 1])
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
 
 
 ONE = IntPolynomial((1,))

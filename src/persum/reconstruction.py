@@ -283,13 +283,15 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     """Reconstruct the value at any integer x from l initial values.
 
     source is a CoefficientTable, or a PeriodSystem, for which only the row
-    for x is computed (in O(l^2 log N), with no table built) and N is held
-    to DEFAULT_MAX_ROWS. initial is read as the values at 0, ..., l-1 of
-    a map that is a sum of periodic maps with the source's periods; the
-    result then equals that map's value at x, negative x included.
+    for x is computed (in O(l^2 log N), with no table built), N is held to
+    DEFAULT_MAX_ROWS, and the row is sized as l rows of l cells by
+    check_size, since each powering step reduces in O(l^2). initial is read
+    as the values at 0, ..., l-1 of a map that is a sum of periodic maps
+    with the source's periods; the result then equals that map's value at
+    x, negative x included.
     Arbitrary initial vectors are accepted, with the agreement promise only
-    where such a sum exists. N, then the count and group of the initial
-    values, are checked before the row is computed.
+    where such a sum exists. N, then l, then the count and group of the
+    initial values, are checked before the row is computed.
     """
     initial = tuple(initial)
     if isinstance(source, PeriodSystem):
@@ -297,6 +299,7 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
         if n_rows > DEFAULT_MAX_ROWS:
             raise TableSizeError(f"table too large: {_count(n_rows)} rows exceed the cap of "
                                  f"{DEFAULT_MAX_ROWS}")
+        check_size(source, size_by_inclusion_exclusion(source))
         charpoly = characteristic_poly(source)
         _check_initial(initial, charpoly.degree)
         # x^(x mod N) mod P; its coefficients are the row, trailing zeros dropped
@@ -414,7 +417,9 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
         raise ValueError("malformed table document: row shape mismatch")
     if charpoly != [-a for a in reversed(recurrence)] + [1]:
         raise ValueError("malformed table document: charpoly and recurrence disagree")
-    if (ps.modulus != n_rows or set(ps.divisor_closure) != {q.denominator for q in elements}
+    # every denominator of the spectrum divides N, so a document's that does
+    # not is refused before the spectrum is built
+    if (ps.modulus != n_rows or any(n_rows % q.denominator for q in elements)
             or build_spectrum(ps).elements != elements):
         raise ValueError("malformed table document: spectrum or N disagrees with the periods")
     # row N of the walk is x^N mod P, which must wrap back to row 0

@@ -1,11 +1,30 @@
 """Shared acceptance bookkeeping: each criterion records one verdict line
-that is printed after the run, whether output capture is on or not."""
+that is printed after the run, whether output capture is on or not. Also
+the whole-document comparison that the property tests share."""
 
 import time
 from contextlib import contextmanager
 
 # (number, label, ok, elapsed seconds, budget seconds or None)
 ACCEPTANCE_RESULTS = []
+
+
+def assert_same_text(got, expect):
+    """Fail unless two whole documents (str or bytes) are equal, naming the
+    first differing offset and about 80 characters around it on each side.
+
+    The comparison is one bool: pytest would explain a failing == between
+    two long texts with a full diff, and Hypothesis fails it again at every
+    shrink step, so a broken writer took minutes to report."""
+    if got == expect:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, expect)) if a != b),
+              min(len(got), len(expect)))
+    lo = max(at - 40, 0)
+    raise AssertionError(
+        f"documents differ at offset {at} (lengths {len(got)} and {len(expect)}):\n"
+        f"  got    {got[lo:at + 40]!r}\n  expect {expect[lo:at + 40]!r}"
+    )
 
 
 @contextmanager

@@ -313,6 +313,9 @@ def test_row_cap_exits_3_before_any_work(capsys):
     for argv in (
         ("coeffs", "999983", "1000003"),
         ("extrapolate", "--periods", "999983", "1000003", "--initial", "1", "--at", "5"),
+        # N = 14158 rows pass, but one row of l = 7080 cells is powered in
+        # O(l^2) steps, so it is sized as l rows of l cells
+        ("extrapolate", "--periods", "2", "7079", "--initial", *["0"] * 7080, "--at", "-1"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

@@ -47,6 +47,12 @@ def random_poly(rng, max_deg=12, max_abs=30):
     )
 
 
+def random_monic(rng, degree):
+    # x^degree plus a random part of lower degree
+    low = random_poly(rng, max_deg=degree - 1).coeffs
+    return IntPolynomial(low + (0,) * (degree - len(low)) + (1,))
+
+
 def test_module_doctests():
     failures, _ = doctest.testmod(persum.cyclotomic)
     assert failures == 0
@@ -67,46 +73,26 @@ def test_degree_and_monic():
     assert not IntPolynomial(()).is_monic()
 
 
-def test_coeff_out_of_range_is_zero():
-    p = IntPolynomial((3, 5))
-    assert p.coeff(0) == 3
-    assert p.coeff(1) == 5
-    assert p.coeff(2) == 0
-    assert p.coeff(99) == 0
-
-
-def test_evaluate():
-    p = IntPolynomial((-1, 0, 1))  # x^2 - 1
-    assert p.evaluate(0) == -1
-    assert p.evaluate(1) == 0
-    assert p.evaluate(-3) == 8
-    assert IntPolynomial(()).evaluate(5) == 0
-
-
 def test_arithmetic_matches_pointwise_evaluation():
+    def evaluate(p, x):
+        # Horner's rule, independent of the product under test
+        value = 0
+        for c in reversed(p.coeffs):
+            value = value * x + c
+        return value
+
     rng = random.Random(21)
     for _ in range(200):
         p = random_poly(rng)
         q = random_poly(rng)
-        s = p + q
-        d = p - q
         m = p * q
         for x in range(-4, 5):
-            assert s.evaluate(x) == p.evaluate(x) + q.evaluate(x)
-            assert d.evaluate(x) == p.evaluate(x) - q.evaluate(x)
-            assert m.evaluate(x) == p.evaluate(x) * q.evaluate(x)
+            assert evaluate(m, x) == evaluate(p, x) * evaluate(q, x)
 
 
 def test_product_example():
     got = IntPolynomial((-1, 0, 1)) * IntPolynomial((1, 1, 1))
     assert got == IntPolynomial((-1, -1, 0, 1, 1))
-
-
-def test_scalar_multiplication():
-    p = IntPolynomial((1, -2, 3))
-    assert 2 * p == IntPolynomial((2, -4, 6))
-    assert p * -1 == -p
-    assert 0 * p == IntPolynomial(())
 
 
 def test_multiplication_by_zero():
@@ -153,8 +139,7 @@ def test_divmod_exact_examples():
 def test_divmod_round_trips_random_products():
     rng = random.Random(23)
     for _ in range(150):
-        # monic divisor of degree 8: random low-order part plus x^8
-        d = random_poly(rng, max_deg=7) + x_power_minus_one(8) + ONE
+        d = random_monic(rng, 8)
         q = random_poly(rng, max_deg=8)
         prod = d * q
         quot, rem = prod.divmod_exact(d)
@@ -174,15 +159,6 @@ def test_nonzero_remainder():
     # x^2 + 1 = (x - 1)(x + 1) + 2
     assert q == IntPolynomial((-1, 1))
     assert r == IntPolynomial((2,))
-
-
-def test_str_rendering():
-    assert str(IntPolynomial((-1, -1, 0, 1, 1))) == "x^4 + x^3 - x - 1"
-    assert str(IntPolynomial((1, -1, 1))) == "x^2 - x + 1"
-    assert str(IntPolynomial(())) == "0"
-    assert str(ONE) == "1"
-    assert str(X) == "x"
-    assert str(IntPolynomial((-3,))) == "-3"
 
 
 def test_x_power_minus_one():
@@ -216,7 +192,7 @@ def test_cyclotomic_is_monic_with_unit_constant():
     for d in range(2, 150):
         f = cyclotomic_poly(d)
         assert f.is_monic()
-        assert f.coeff(0) in (-1, 1)
+        assert f.coeffs[0] in (-1, 1)
 
 
 def test_cyclotomic_product_identity():
@@ -309,7 +285,7 @@ def test_characteristic_poly_roots_are_spectrum_values():
 def test_poly_powmod_matches_direct_remainder():
     rng = random.Random(26)
     for _ in range(100):
-        mod = random_poly(rng, max_deg=5) + x_power_minus_one(6) + ONE
+        mod = random_monic(rng, 6)
         e = rng.randint(0, 40)
         got = poly_powmod(X, e, mod)
         direct = ONE

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import assert_same_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -341,7 +342,7 @@ json_trees = st.recursive(
 @example(tree=[True, "1"])
 @example(tree={"a": []})
 def test_cli_writer_matches_json_dumps_indent_2(tree):
-    assert _dumps(tree) == json.dumps(tree, indent=2)
+    assert_same_text(_dumps(tree), json.dumps(tree, indent=2))
 
 
 @pytest.mark.parametrize(
@@ -385,8 +386,15 @@ def test_cli_writer_matches_json_dumps_indent_2_on_table_rows(value):
     rows = [[str(cell) for cell in row] for row in coefficient_table(value).rows]
     streamed = table_rows(value)
     for doc, expect in ((streamed, rows), ({"N": "1", "rows": streamed}, {"N": "1", "rows": rows})):
-        same = _dumps(doc) == json.dumps(expect, indent=2)
-        assert same  # a bool: a failing example is not diffed as two long texts
+        assert_same_text(_dumps(doc), json.dumps(expect, indent=2))
+
+
+def test_assert_same_text_names_the_first_difference():
+    assert_same_text("abc", "abc")
+    with pytest.raises(AssertionError, match=r"offset 50 \(lengths 100 and 100\)"):
+        assert_same_text("a" * 50 + "b" * 50, "a" * 50 + "c" * 50)
+    with pytest.raises(AssertionError, match=r"offset 3 \(lengths 3 and 4\)"):
+        assert_same_text(b"abc", b"abcd")
 
 
 @settings(FIXED, max_examples=40)
@@ -401,10 +409,10 @@ def test_coeffs_stdout_and_out_file_have_the_bytes_of_json_dumps(ps):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    assert out.getvalue() == expect
+    assert_same_text(out.getvalue(), expect)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "table.json"
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--out", str(target)]) == 0
-        assert target.read_text() == expect
-    assert out.getvalue() == expect  # --out printed nothing
+        assert_same_text(target.read_text(), expect)
+    assert_same_text(out.getvalue(), expect)  # --out printed nothing

@@ -276,6 +276,12 @@ def test_cell_cap_bounds_n_times_l(monkeypatch):
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 3)
     with pytest.raises(TableSizeError, match="^spectrum too large: 4 elements exceed the cap of 3$"):
         check_size(PeriodSystem((2, 3)))
+    # the single row of l = 4 cells is sized as 4 rows of 4 cells
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 16)
+    assert extrapolate(PeriodSystem((2, 3)), (1, 0, 2, 0), 5) == 1
+    monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 15)
+    with pytest.raises(TableSizeError, match="^table too large: 4 rows of 4 cells exceed the cap of 15$"):
+        extrapolate(PeriodSystem((2, 3)), (1, 0, 2, 0), 5)
 
 
 def prime_factors(n):
@@ -432,6 +438,25 @@ def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
         extrapolate(PeriodSystem((7,)), [1], 5)
     with pytest.raises(ValueError, match="mixed group realizations"):
         extrapolate(PeriodSystem((2,)), [1, ModInt(1, 5)], 5)
+
+
+def test_extrapolate_sizes_the_row_as_l_rows_of_l_cells(monkeypatch):
+    # each powering step reduces in O(l^2), so l^2 is held to the cell cap:
+    # (2, 7079) has l = 7080 and is refused before P is built
+    def refuse(*args):
+        raise AssertionError("computed past the size check")
+
+    monkeypatch.setattr(persum.reconstruction, "characteristic_poly", refuse)
+    monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
+    assert size_by_inclusion_exclusion(PeriodSystem((2, 7079))) == 7080
+    with pytest.raises(TableSizeError, match="^table too large: 7080 rows of "):
+        extrapolate(PeriodSystem((2, 7079)), range(7080), -1)
+    monkeypatch.undo()
+    # (2, 7069) has l = 7070, 49,984,900 cells; the powering itself takes
+    # seconds at this size, so a stub row, x^1, stands in for it
+    monkeypatch.setattr(persum.reconstruction, "poly_powmod", lambda *args: X)
+    assert size_by_inclusion_exclusion(PeriodSystem((2, 7069))) == 7070
+    assert extrapolate(PeriodSystem((2, 7069)), range(7070), -1) == 1
 
 
 def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
