@@ -41,7 +41,7 @@ from .covering import (
     window_gcd,
 )
 from .cyclotomic import characteristic_poly
-from .groups import IntVector, ModInt
+from .groups import IntVector
 from .numth import strict_int
 from .reconstruction import (
     PeriodicMap,
@@ -245,9 +245,11 @@ def cmd_coeffs(args) -> dict | None:
 def cmd_extrapolate(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
     if args.mod is not None:
+        # Z -> Z_M is a homomorphism: the values are reduced into [0, M) and
+        # extrapolated over Z, and the result is reduced once
         group = {"group": "mod", "modulus": str(args.mod)}
-        parse = lambda tok: ModInt(strict_int(tok), args.mod)  # noqa: E731
-        to_json = lambda value: str(value.value)  # noqa: E731
+        parse = lambda tok: strict_int(tok) % args.mod  # noqa: E731
+        to_json = str
     elif args.vec is not None:
         group = {"group": "vec", "dimension": str(args.vec)}
 
@@ -268,6 +270,8 @@ def cmd_extrapolate(args) -> dict:
     except ValueError as exc:
         raise ValueError(f"bad initial value: {exc}") from None
     value = extrapolate(ps, initial, args.at)
+    if args.mod is not None:
+        value %= args.mod
     return {
         "periods": [str(n) for n in ps.periods],
         **group,

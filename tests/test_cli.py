@@ -21,6 +21,7 @@ import persum.reconstruction
 import persum.spectrum
 from persum.cli import integer, main, positive_int
 from persum.covering import ResidueClass, ResidueSystem, multiplicity
+from persum.groups import ModInt
 from persum.reconstruction import (
     coefficient_table,
     extrapolate,
@@ -250,6 +251,25 @@ def test_extrapolate_mod(capsys):
     assert doc["value"] == "1"
 
 
+def test_extrapolate_mod_over_z_prints_what_the_library_answers_in_z_m(capsys):
+    # --mod reads its values as ints reduced mod M and reduces the value over
+    # Z once; the library, given ModInt values, answers in Z_M throughout
+    rng = random.Random(55)
+    for i in range(60):
+        periods = [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        ps = PeriodSystem(tuple(periods))
+        l = len(build_spectrum(ps))
+        m = rng.choice([1, 2, rng.randint(3, 10**9), rng.randint(1, 10**30)])
+        values = [rng.choice([rng.randint(-10**40, 10**40), rng.randint(-m, m), -1]) for _ in range(l)]
+        x = rng.choice([rng.randint(-10**30, 10**30), -1, 0, ps.modulus])
+        doc = run_json(capsys, "extrapolate", "--periods", *map(str, periods),
+                       "--initial", *map(str, values), "--at", str(x), "--mod", str(m))
+        expect = extrapolate(ps, [ModInt(v, m) for v in values], x)
+        assert doc["value"] == str(expect.value), (periods, m, x)
+        assert doc["initial"] == [str(ModInt(v, m).value) for v in values]
+        assert (doc["group"], doc["modulus"]) == ("mod", str(m))
+
+
 def test_extrapolate_vec(capsys):
     doc = run_json(
         capsys, "extrapolate", "--periods", "2", "--initial", "1,2", "3,4",
@@ -310,19 +330,21 @@ def test_closed_stdout_exits_2_without_a_traceback():
 
 
 def test_row_cap_exits_3_before_any_work(capsys):
-    for argv in (
-        ("coeffs", "999983", "1000003"),
-        ("extrapolate", "--periods", "999983", "1000003", "--initial", "1", "--at", "5"),
-        # N = 14158 rows pass, but one row of l = 7080 cells is powered in
-        # O(l^2) steps, so it is sized as l rows of l cells
-        ("extrapolate", "--periods", "2", "7079", "--initial", *["0"] * 7080, "--at", "-1"),
+    for argv, message in (
+        (("coeffs", "999983", "1000003"), "error: table too large: "),
+        (("extrapolate", "--periods", "999983", "1000003", "--initial", "1", "--at", "5"),
+         "error: table too large: "),
+        # N = 14158 rows pass, but a powering step reduces in O(l^2), so the
+        # one row of l = 7080 cells is sized as l rows of l cells
+        (("extrapolate", "--periods", "2", "7079", "--initial", *["0"] * 7080, "--at", "-1"),
+         "error: row too large: the single row of l = 7080 cells is sized as 7080 rows of 7080 cells"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert "table too large" in err
+        assert err.startswith(message)
 
 
 def test_cell_cap_exits_3_before_any_work(tmp_path, capsys):

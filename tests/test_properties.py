@@ -109,7 +109,7 @@ def test_table_row_single_row_and_brute_force_agree(group, data):
     psi = SumOfPeriodicMaps(tuple(
         PeriodicMap(tuple(data.draw(st.lists(values, min_size=n, max_size=n)))) for n in ps.periods
     ))
-    x = data.draw(st.integers(-10**6, 10**6), label="x")
+    x = data.draw(st.integers(-10**30, 10**30), label="x")
     table = table_for(ps)
     initial = [psi(r) for r in range(table.width)]
     by_row = zero_like(initial[0])

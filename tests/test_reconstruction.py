@@ -280,7 +280,8 @@ def test_cell_cap_bounds_n_times_l(monkeypatch):
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 16)
     assert extrapolate(PeriodSystem((2, 3)), (1, 0, 2, 0), 5) == 1
     monkeypatch.setattr(persum.reconstruction, "DEFAULT_MAX_CELLS", 15)
-    with pytest.raises(TableSizeError, match="^table too large: 4 rows of 4 cells exceed the cap of 15$"):
+    with pytest.raises(TableSizeError, match="^row too large: the single row of l = 4 cells is sized "
+                                             "as 4 rows of 4 cells, which exceed the cap of 15$"):
         extrapolate(PeriodSystem((2, 3)), (1, 0, 2, 0), 5)
 
 
@@ -434,6 +435,7 @@ def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
         raise AssertionError("computed the row before checking the initial values")
 
     monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
+    monkeypatch.setattr(persum.reconstruction, "_row", refuse)
     with pytest.raises(ValueError, match="expected 7 initial values, got 1"):
         extrapolate(PeriodSystem((7,)), [1], 5)
     with pytest.raises(ValueError, match="mixed group realizations"):
@@ -441,7 +443,7 @@ def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
 
 
 def test_extrapolate_sizes_the_row_as_l_rows_of_l_cells(monkeypatch):
-    # each powering step reduces in O(l^2), so l^2 is held to the cell cap:
+    # a powering step reduces in O(l^2), so l^2 is held to the cell cap:
     # (2, 7079) has l = 7080 and is refused before P is built
     def refuse(*args):
         raise AssertionError("computed past the size check")
@@ -449,14 +451,84 @@ def test_extrapolate_sizes_the_row_as_l_rows_of_l_cells(monkeypatch):
     monkeypatch.setattr(persum.reconstruction, "characteristic_poly", refuse)
     monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
     assert size_by_inclusion_exclusion(PeriodSystem((2, 7079))) == 7080
-    with pytest.raises(TableSizeError, match="^table too large: 7080 rows of "):
+    with pytest.raises(TableSizeError, match="^row too large: the single row of l = 7080 cells is "
+                                             "sized as 7080 rows of 7080 cells, which exceed the cap"):
         extrapolate(PeriodSystem((2, 7079)), range(7080), -1)
     monkeypatch.undo()
-    # (2, 7069) has l = 7070, 49,984,900 cells; the powering itself takes
-    # seconds at this size, so a stub row, x^1, stands in for it
-    monkeypatch.setattr(persum.reconstruction, "poly_powmod", lambda *args: X)
+    # (2, 7069) has l = 7070, 49,984,900 cells, and passes: row -1 is row l
+    # reversed, 7070 rows from x^0, against the brute-force value of a map
+    rng = random.Random(53)
+    psi = random_sum(rng, (2, 7069), lambda r: r.randint(-10**6, 10**6))
     assert size_by_inclusion_exclusion(PeriodSystem((2, 7069))) == 7070
-    assert extrapolate(PeriodSystem((2, 7069)), range(7070), -1) == 1
+    assert extrapolate(PeriodSystem((2, 7069)), [psi(r) for r in range(7070)], -1) == psi(-1)
+
+
+def test_row_t_reversed_is_row_l_minus_1_minus_t():
+    # P is its own reciprocal up to sign, so the table read backwards is
+    # itself, up to the shift: row t reversed is row (l-1-t) mod N
+    rng = random.Random(54)
+    systems = [tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 3))) for _ in range(40)]
+    for periods in systems + [(1,), (2, 3), (97, 101), (60, 84, 90)]:
+        t = coefficient_table(PeriodSystem(periods))
+        l, n = t.width, t.modulus
+        for row_t, row in enumerate(t.rows):
+            assert row[::-1] == t.rows[(l - 1 - row_t) % n], (periods, row_t)
+
+
+def padded_powmod_row(charpoly, r):
+    coeffs = poly_powmod(X, r, charpoly).coeffs
+    return list(coeffs) + [0] * (charpoly.degree - len(coeffs))
+
+
+@pytest.mark.parametrize("periods, r, walks", [
+    ((23, 25), 4, True),  # N = 575, l = 47: r below N/2
+    ((23, 25), 288, True),  # r above N/2, walked as row 333 reversed
+    ((600,), 200, False),  # l = N = 600, P = x^600 - 1: x^200 costs little to build
+    ((600,), 350, False),
+    ((600,), 599, True),  # row 0 reversed
+    ((97, 101), 7177, False),  # dense P (193 of 197 coefficients), s = 2816
+    ((97, 101), 9796, True),  # s = l = 197
+    ((2, 3001), 3311, True),  # sparse P (3 of 3002), 310 positions to clear of 3002 cells each
+], ids=str)
+def test_single_row_routes_agree_on_both_sides_of_the_cost_rule(periods, r, walks):
+    ps = PeriodSystem(periods)
+    charpoly = characteristic_poly(ps)
+    l, n = charpoly.degree, ps.modulus
+    s = min(r, (l - 1 - r) % n)
+    nnz = sum(1 for c in charpoly.coeffs[:-1] if c)
+    assert persum.reconstruction._walk_is_cheaper(r, s, l, nnz) is walks
+    expect = padded_powmod_row(charpoly, r)
+    row = list(persum.reconstruction._row(charpoly, r, n))
+    assert row + [0] * (l - len(row)) == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(persum.reconstruction, "_walk_is_cheaper", lambda *args: True)
+        assert list(persum.reconstruction._row(charpoly, r, n)) == expect
+
+
+def systems_of_lcm_at_most(n_max):
+    """Up to three periods, all dividing one N <= n_max."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.lists(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+                           min_size=1, max_size=3)
+    ).map(lambda periods: PeriodSystem(tuple(periods)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(ps=systems_of_lcm_at_most(600), x=st.integers(-10**30, 10**30))
+@example(ps=PeriodSystem((23, 25)), x=-1)
+@example(ps=PeriodSystem((600,)), x=10**30 + 350)
+def test_walked_row_is_the_powered_row(ps, x):
+    # the row from the nearer end, forced, and the row on the route the cost
+    # rule picks, against the generic powering; r falls below and above N/2
+    charpoly = characteristic_poly(ps)
+    l, n = charpoly.degree, ps.modulus
+    r = x % n
+    expect = padded_powmod_row(charpoly, r)
+    row = list(persum.reconstruction._row(charpoly, r, n))
+    assert row + [0] * (l - len(row)) == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(persum.reconstruction, "_walk_is_cheaper", lambda *args: True)
+        assert list(persum.reconstruction._row(charpoly, r, n)) == expect
 
 
 def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
