@@ -21,12 +21,11 @@ value needs only one row, x^(x mod N) mod P, which extrapolate computes
 when it is given the period system instead of a table. The spectrum is
 closed under q -> -q mod 1, so P is its own reciprocal up to sign:
 x^l P(1/x) = -P(x). As x^N = 1 mod P, row t reversed is then row
-(l-1-t) mod N, and the walk to row r starts from the nearer end: it walks
-s = min(r, (l-1-r) mod N) rows, never more than (N+l)/2, at O(s (l + nnz))
-for nnz the nonzero coefficients of P below its top. Where P is dense and s
-far above l, powering left to right with x as the multiplier (Fiduccia's
-method), O(l^2) a step past degree l, costs less; one fixed rule,
-`_walk_is_cheaper`, picks the route it estimates cheaper.
+(l-1-t) mod N, so row r is x^s for s = min(r, (l-1-r) mod N), reversed
+when s is not r. `_row` powers x^s left to right (Fiduccia's method) and
+reduces each power from its top by the walk's substitution, x^l = -sum p_j
+x^j over P's nonzero coefficients p_j below its top, nnz of them: a row
+below 2l takes no product, and each squaring past it up to l*nnz updates.
 
 l consecutive values decide such a map (the paper's local-global theorem),
 so l sizes every window certificate: the constancy window, the difference
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import X, IntPolynomial, characteristic_poly, poly_powmod
+from .cyclotomic import IntPolynomial, characteristic_poly
 from .groups import scale, zero_like
 from .numth import Record, strict_int
 from .spectrum import (
@@ -210,8 +209,9 @@ class TableRows(Record):
     z^l - a_1 z^(l-1) - ... - a_l of the recurrence (a_1, ..., a_l). Each
     row is x times the row before: shifted up one place, plus its top entry
     times the reversed recurrence, which is nonzero only under P's nonzero
-    coefficients. Only `walk` computes a row; the CLI writer takes these
-    rows as their own case, since every cell is an int the walk computed.
+    coefficients. `walk` computes a table's rows, `_row` one row by the same
+    substitution; the CLI writer takes these rows as their own case, since
+    every cell is an int the walk computed.
     """
 
     __slots__ = ("recurrence", "count")
@@ -280,35 +280,33 @@ def coefficient_table(ps: PeriodSystem) -> CoefficientTable:
     return CoefficientTable(ps, rows.recurrence, tuple(map(tuple, rows.walk())))
 
 
-def _walk_is_cheaper(r: int, s: int, width: int, nnz: int) -> bool:
-    """Whether walking s rows costs less than powering x^r mod P, for P of
-    degree l = width with nnz nonzero coefficients below its top.
-
-    A walked row costs a list copy of l entries and up to nnz int updates.
-    The powering costs up to l int updates for each position it clears:
-    x^r needs (r // l).bit_length() squarings past degree l, the first of
-    x^(r >> (m-1)) and each later one of a row of l entries; below degree l
-    it only builds x^r, in about min(r, l) steps. The weights 4, 10 and 300
-    were fitted on timings of both routes over 33 period systems (N up to
-    1,005,973, l up to 7070) at 330 residues r, with Python 3.11 on two
-    shared cores.
-    """
-    m = (r // width).bit_length()
-    cleared = (r >> (m - 1)) - width + 1 + (m - 1) * (width - 1) if m else 0
-    return (s + 1) * (width + 4 * nnz) <= 10 * width * cleared + 300 * min(r, width)
-
-
-def _row(charpoly: IntPolynomial, r: int, n_rows: int):
-    """Row r of the table of P = charpoly with N = n_rows rows, the
-    coefficients of x^r mod P (trailing zeros may be dropped): the last of
-    s + 1 walked rows, reversed when it is row (l-1-r) mod N, or by
-    powering, whichever `_walk_is_cheaper` says costs less."""
+def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
+    """Row r of the table of P = charpoly with N = n_rows rows: x^s mod P
+    for s = min(r, (l-1-r) mod N), reversed when s is not r. x^s is powered
+    left to right from x^t, t the longest prefix of s below 2l, squaring by
+    the `IntPolynomial` product; each power is reduced from its top by
+    x^l = sum a x^j over the (j, a) pairs of `TableRows.walk`, P's nonzero
+    coefficients negated, kept as (j - l, a). So a row below 2l takes no
+    product."""
     width = charpoly.degree
     s = min(r, (width - 1 - r) % n_rows)
-    if not _walk_is_cheaper(r, s, width, width - charpoly.coeffs.count(0)):
-        return poly_powmod(X, r, charpoly).coeffs
-    for row in TableRows(recurrence_coeffs(charpoly), s + 1).walk():
-        pass
+    sparse = [(j - width, -c) for j, c in enumerate(charpoly.coeffs[:-1]) if c]
+    bits = 0
+    while s >> bits >= 2 * width:
+        bits += 1
+    row = [0] * (s >> bits) + [1]
+    for i in range(bits, -1, -1):
+        if i < bits:
+            power = IntPolynomial(row)
+            row = list((power * power).coeffs)
+            if s >> i & 1:
+                row.insert(0, 0)
+        for top in range(len(row) - 1, width - 1, -1):
+            c = row[top]
+            if c:
+                for j, a in sparse:
+                    row[top + j] += c * a
+        row = row[:width] + [0] * (width - len(row))
     return row if s == r else row[::-1]
 
 
@@ -322,15 +320,13 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     """Reconstruct the value at any integer x from l initial values.
 
     source is a CoefficientTable, or a PeriodSystem, for which only the row
-    for x is computed, with no table built: walked from the nearer end, in
-    O(min(r, (l-1-r) mod N) (l + nnz)) for r = x mod N, since row r is row
-    (l-1-r) mod N reversed (P is its own reciprocal up to sign), or powered
-    in O(l^2) a step where that costs less (see `_row`). N is held to
+    for x is computed, with no table built (see `_row`). That row costs
+    about log2(s/l) squarings for s = min(x mod N, (l-1-x) mod N) < N, each
+    of up to l*nnz(P) <= l^2 updates to reduce; so N is held to
     DEFAULT_MAX_ROWS, and the row to l^2 <= DEFAULT_MAX_CELLS, the cells of
-    l rows of l, which bounds the powering. initial is read
-    as the values at 0, ..., l-1 of a map that is a sum of periodic maps
-    with the source's periods; the result then equals that map's value at
-    x, negative x included.
+    l rows of l. initial is read as the values at 0, ..., l-1 of a map that
+    is a sum of periodic maps with the source's periods; the result then
+    equals that map's value at x, negative x included.
     Arbitrary initial vectors are accepted, with the agreement promise only
     where such a sum exists. N, then l, then the count and group of the
     initial values, are checked before the row is computed.
@@ -339,8 +335,8 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     if isinstance(source, PeriodSystem):
         n_rows = source.modulus
         if n_rows > DEFAULT_MAX_ROWS:
-            raise TableSizeError(f"table too large: {_count(n_rows)} rows exceed the cap of "
-                                 f"{DEFAULT_MAX_ROWS}")
+            raise TableSizeError(f"row too large: the single row is one of N = {_count(n_rows)} "
+                                 f"rows, which exceed the cap of {DEFAULT_MAX_ROWS}")
         width = size_by_inclusion_exclusion(source)
         if width * width > DEFAULT_MAX_CELLS:
             raise TableSizeError(f"row too large: the single row of l = {width} cells is sized as "

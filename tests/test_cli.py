@@ -333,9 +333,10 @@ def test_row_cap_exits_3_before_any_work(capsys):
     for argv, message in (
         (("coeffs", "999983", "1000003"), "error: table too large: "),
         (("extrapolate", "--periods", "999983", "1000003", "--initial", "1", "--at", "5"),
-         "error: table too large: "),
-        # N = 14158 rows pass, but a powering step reduces in O(l^2), so the
-        # one row of l = 7080 cells is sized as l rows of l cells
+         "error: row too large: the single row is one of N = 999985999949 rows, which exceed "
+         "the cap of 1000000"),
+        # N = 14158 rows pass, but a squaring reduces in up to l^2 updates, so
+        # the one row of l = 7080 cells is sized as l rows of l cells
         (("extrapolate", "--periods", "2", "7079", "--initial", *["0"] * 7080, "--at", "-1"),
          "error: row too large: the single row of l = 7080 cells is sized as 7080 rows of 7080 cells"),
     ):
@@ -362,15 +363,16 @@ def test_cell_cap_exits_3_before_any_work(tmp_path, capsys):
 def test_huge_modulus_refused_on_one_short_line(capsys):
     # N = lcm(1000, ..., 12000) has over 5000 digits, more than int() will write
     periods = [str(n) for n in range(1000, 12001)]
-    for argv in (
-        ("coeffs", *periods),
-        ("extrapolate", "--periods", *periods, "--initial", "1", "--at", "0"),
+    for argv, message in (
+        (("coeffs", *periods), "error: table too large: at least 2^17278 rows"),
+        (("extrapolate", "--periods", *periods, "--initial", "1", "--at", "0"),
+         "error: row too large: the single row is one of N = at least 2^17278 rows"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert err.startswith("error: table too large: at least 2^17278 rows")
+        assert err.startswith(message)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err.encode()) < 200
 
@@ -402,8 +404,8 @@ def test_every_subcommand_refuses_a_huge_period_before_any_work(capsys, monkeypa
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    noun = "table" if argv[0] in ("coeffs", "extrapolate") else "spectrum"
-    assert err.startswith(f"error: {noun} too large: {HUGE_PERIOD} ")
+    what = {"coeffs": "table too large:", "extrapolate": "row too large: the single row is one of N ="}
+    assert err.startswith(f"error: {what.get(argv[0], 'spectrum too large:')} {HUGE_PERIOD} ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -429,12 +429,11 @@ def test_extrapolate_from_period_system_reads_the_table_row():
 
 
 def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
-    # the powmod is the costly step; on (999983,) a one-value request used to
-    # run it in full before the count was compared with l
+    # the row is the costly step; on (999983,) a one-value request used to
+    # compute it in full before the count was compared with l
     def refuse(*args):
         raise AssertionError("computed the row before checking the initial values")
 
-    monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
     monkeypatch.setattr(persum.reconstruction, "_row", refuse)
     with pytest.raises(ValueError, match="expected 7 initial values, got 1"):
         extrapolate(PeriodSystem((7,)), [1], 5)
@@ -443,20 +442,20 @@ def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
 
 
 def test_extrapolate_sizes_the_row_as_l_rows_of_l_cells(monkeypatch):
-    # a powering step reduces in O(l^2), so l^2 is held to the cell cap:
-    # (2, 7079) has l = 7080 and is refused before P is built
+    # a squaring reduces in up to l*nnz(P) <= l^2 updates, so l^2 is held to
+    # the cell cap: (2, 7079) has l = 7080 and is refused before P is built
     def refuse(*args):
         raise AssertionError("computed past the size check")
 
     monkeypatch.setattr(persum.reconstruction, "characteristic_poly", refuse)
-    monkeypatch.setattr(persum.reconstruction, "poly_powmod", refuse)
+    monkeypatch.setattr(persum.reconstruction, "_row", refuse)
     assert size_by_inclusion_exclusion(PeriodSystem((2, 7079))) == 7080
     with pytest.raises(TableSizeError, match="^row too large: the single row of l = 7080 cells is "
                                              "sized as 7080 rows of 7080 cells, which exceed the cap"):
         extrapolate(PeriodSystem((2, 7079)), range(7080), -1)
     monkeypatch.undo()
     # (2, 7069) has l = 7070, 49,984,900 cells, and passes: row -1 is row l
-    # reversed, 7070 rows from x^0, against the brute-force value of a map
+    # reversed, x^l reduced once, against the brute-force value of a map
     rng = random.Random(53)
     psi = random_sum(rng, (2, 7069), lambda r: r.randint(-10**6, 10**6))
     assert size_by_inclusion_exclusion(PeriodSystem((2, 7069))) == 7070
@@ -480,29 +479,22 @@ def padded_powmod_row(charpoly, r):
     return list(coeffs) + [0] * (charpoly.degree - len(coeffs))
 
 
-@pytest.mark.parametrize("periods, r, walks", [
-    ((23, 25), 4, True),  # N = 575, l = 47: r below N/2
-    ((23, 25), 288, True),  # r above N/2, walked as row 333 reversed
-    ((600,), 200, False),  # l = N = 600, P = x^600 - 1: x^200 costs little to build
-    ((600,), 350, False),
-    ((600,), 599, True),  # row 0 reversed
-    ((97, 101), 7177, False),  # dense P (193 of 197 coefficients), s = 2816
-    ((97, 101), 9796, True),  # s = l = 197
-    ((2, 3001), 3311, True),  # sparse P (3 of 3002), 310 positions to clear of 3002 cells each
+@pytest.mark.parametrize("periods, r", [
+    ((23, 25), 4),  # N = 575, l = 47: r below l, no arithmetic
+    ((23, 25), 288),  # r above N/2, powered as row 333 reversed
+    ((600,), 200),  # l = N = 600, P = x^600 - 1: s below l
+    ((600,), 350),
+    ((600,), 599),  # row 0 reversed
+    ((97, 101), 7177),  # dense P (193 of 197 coefficients), s = 2816, past 2l
+    ((97, 101), 9796),  # s = l = 197, one reduction
+    ((2, 3001), 3311),  # sparse P (3 of 3002), s = 3311 between l and 2l
 ], ids=str)
-def test_single_row_routes_agree_on_both_sides_of_the_cost_rule(periods, r, walks):
+def test_single_row_routes_agree_on_both_sides_of_the_cost_rule(periods, r):
+    # rows on both sides of N/2, below l, between l and 2l and past 2l, for a
+    # sparse and a dense P, against the generic powering
     ps = PeriodSystem(periods)
     charpoly = characteristic_poly(ps)
-    l, n = charpoly.degree, ps.modulus
-    s = min(r, (l - 1 - r) % n)
-    nnz = sum(1 for c in charpoly.coeffs[:-1] if c)
-    assert persum.reconstruction._walk_is_cheaper(r, s, l, nnz) is walks
-    expect = padded_powmod_row(charpoly, r)
-    row = list(persum.reconstruction._row(charpoly, r, n))
-    assert row + [0] * (l - len(row)) == expect
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(persum.reconstruction, "_walk_is_cheaper", lambda *args: True)
-        assert list(persum.reconstruction._row(charpoly, r, n)) == expect
+    assert persum.reconstruction._row(charpoly, r, ps.modulus) == padded_powmod_row(charpoly, r)
 
 
 def systems_of_lcm_at_most(n_max):
@@ -518,17 +510,28 @@ def systems_of_lcm_at_most(n_max):
 @example(ps=PeriodSystem((23, 25)), x=-1)
 @example(ps=PeriodSystem((600,)), x=10**30 + 350)
 def test_walked_row_is_the_powered_row(ps, x):
-    # the row from the nearer end, forced, and the row on the route the cost
-    # rule picks, against the generic powering; r falls below and above N/2
+    # the single row, powered to the nearer end, against the generic powering
+    # and the walked table's row; r falls below and above N/2
     charpoly = characteristic_poly(ps)
-    l, n = charpoly.degree, ps.modulus
-    r = x % n
-    expect = padded_powmod_row(charpoly, r)
-    row = list(persum.reconstruction._row(charpoly, r, n))
-    assert row + [0] * (l - len(row)) == expect
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(persum.reconstruction, "_walk_is_cheaper", lambda *args: True)
-        assert list(persum.reconstruction._row(charpoly, r, n)) == expect
+    r = x % ps.modulus
+    row = persum.reconstruction._row(charpoly, r, ps.modulus)
+    assert row == padded_powmod_row(charpoly, r)
+    assert tuple(row) == coefficient_table(ps).rows[r]
+
+
+def test_a_row_below_2l_takes_no_polynomial_product(monkeypatch):
+    # x^s with s < 2l is reduced from its top, with no squaring: row l - 1
+    # of (97, 101) is the unit vector, row 2000 of (4001,) is below l, and
+    # row -1 of (2, 7069) is row l reversed
+    def refuse(*args):
+        raise AssertionError("multiplied two polynomials for a row below 2l")
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+    rng = random.Random(55)
+    for periods, x in (((4001,), 2000), ((2, 7069), -1), ((97, 101), 196)):
+        psi = random_sum(rng, periods, lambda r: r.randint(-10**6, 10**6))
+        width = size_by_inclusion_exclusion(PeriodSystem(periods))
+        assert extrapolate(PeriodSystem(periods), [psi(r) for r in range(width)], x) == psi(x)
 
 
 def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
