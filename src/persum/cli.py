@@ -4,10 +4,10 @@ All numbers inside the JSON are decimal strings, never JSON numbers, so
 arbitrary-precision values survive any consumer's parser unchanged. Every
 document, on stdout or in a `coeffs --out` file, is the bytes of
 `json.dumps(doc, indent=2)` plus a newline, laid out by one writer, `_write`.
-A `coeffs` document holds its table's rows as a `reconstruction.TableRows`,
-not yet walked; `_write` walks them as it writes, each row the list of its
-cells' quoted decimal strings, written as one piece, so no table, no whole
-text and no per-cell lookup is needed.
+A `coeffs` document holds its table's rows as a generator, the
+`reconstruction.table_walk` of its recurrence with each cell made its quoted
+decimal string; `_write` writes each row as one piece as the walk yields it,
+so no table, no whole text and no per-cell lookup is needed.
 Every integer on the command line is read by `numth.strict_int`, the rule
 for documents too: ASCII digits after an optional '-', so a space, '+', '_'
 or another script's digit exits 2. A --vec value joins its entries with
@@ -29,7 +29,7 @@ import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 
 from .covering import (
     all_in_class,
@@ -45,7 +45,6 @@ from .groups import IntVector
 from .numth import strict_int
 from .reconstruction import (
     PeriodicMap,
-    TableRows,
     TableSizeError,
     check_size,
     # not called here; perfbench/tracing.py wraps persum.cli.coefficient_table by name
@@ -53,7 +52,8 @@ from .reconstruction import (
     extrapolate,
     finewilf_difference_gcd,
     table_json_fields,
-    table_rows,
+    table_recurrence,
+    table_walk,
     # not called here; perfbench/tracing.py wraps persum.cli.table_to_json_dict by name
     table_to_json_dict,  # noqa: F401
 )
@@ -225,8 +225,9 @@ def cmd_charpoly(args) -> dict:
 
 def cmd_coeffs(args) -> dict | None:
     ps = PeriodSystem(tuple(args.periods))
-    rows = table_rows(ps)  # sized and refused before the file is opened
-    doc = {**table_json_fields(ps, rows.recurrence), "rows": rows}
+    recurrence = table_recurrence(ps)  # sized and refused before the file is opened
+    rows = table_walk(recurrence, ps.modulus, _QuotedCell().__getitem__)
+    doc = {**table_json_fields(ps, recurrence), "rows": rows}
     if not args.out:
         return doc
     # Write over the old bytes, then cut the file to length. Opening with
@@ -414,8 +415,8 @@ def _dumps(doc) -> str:
 
 class _QuotedCell(dict):
     """The JSON token of a table cell, its quoted decimal string, made once
-    per distinct value: a table holds few. Every cell `_write` passes in is
-    an int that `TableRows.walk` computed, so a memo keyed by value is exact."""
+    per distinct value: a table holds few. Every cell that `table_walk`
+    passes in is an int it computed, so a memo keyed by value is exact."""
 
     def __missing__(self, cell: int) -> str:
         token = self[cell] = f'"{cell}"'
@@ -424,32 +425,32 @@ class _QuotedCell(dict):
 
 def _write(value, indent: str, emit) -> None:
     """Pass to emit, in pieces, the text of `json.dumps(value, indent=2)` for
-    a tree of str-keyed dicts, lists, strings, booleans and table rows (a
-    `TableRows`, written as lists of decimal strings, one piece per row);
-    indent is the newline and indent of the enclosing level. Any other value,
-    a tuple included, raises TypeError.
+    a tree of str-keyed dicts, lists, strings, booleans and generators of
+    rows, each row a nonempty list of ready JSON tokens, such as the rows of
+    quoted cells that `table_walk` yields: written as a list of lists, one
+    piece per row. indent is the newline and indent of the enclosing level.
+    Any other value, a tuple included, raises TypeError.
 
     `json.dumps` runs its pure-Python encoder whenever `indent` is set. Here
     a list of strings that need no escape (printable ASCII without `"` or
     `\\`, one test over their join) is written by a single join; any other
-    string is quoted by `json`'s own escaper, so the text stays exact. The
-    rows are walked as they are written, each as the list of its cells'
-    tokens, so no table is held.
+    string is quoted by `json`'s own escaper, so the text stays exact. A
+    generator's rows are written as it yields them, so no table is held.
     """
     if isinstance(value, str):
         emit(encode_basestring_ascii(value))
     elif value is True or value is False:
         emit("true" if value else "false")
-    elif isinstance(value, TableRows):
+    elif isinstance(value, GeneratorType):
         inner = indent + "  "
         cell = inner + "  "
         comma = "," + cell
         sep = "[" + inner
-        for row in value.walk(_QuotedCell().__getitem__):
+        for row in value:
             # one f-string, so the row's text is copied once
             emit(f"{sep}[{cell}{comma.join(row)}{inner}]")
             sep = "," + inner
-        emit(indent + "]" if value.count else "[]")
+        emit("[]" if sep[0] == "[" else indent + "]")
     elif not isinstance(value, (dict, list)):
         raise TypeError(f"{type(value).__name__} is not a persum JSON value")
     elif not value:
@@ -499,8 +500,11 @@ def main(argv=None) -> int:
             _write(doc, "\n", sys.stdout.write)
             sys.stdout.write("\n")
             sys.stdout.flush()
-    except BrokenPipeError:
-        # reader gone: exit 2 as for an unwritable --out; devnull quiets the exit flush
+    except OSError as exc:
+        # exit 2 as for an unwritable --out, saying why unless the reader is
+        # gone; devnull quiets the exit flush of what stdout still holds
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0

@@ -13,12 +13,14 @@ mod P: shifted up one place, plus its top entry times the reversed
 recurrence. P is a product of cyclotomic polynomials, mostly zero
 coefficients, so a row differs from the plain shift only under P's nonzero
 coefficients, and only when the top entry is nonzero. The first l rows
-are the identity block, since x^r with r < l needs no reduction. One walk,
-`TableRows.walk`, does that shift: it fills the table, feeds the CLI
-writer the rows as cell text one row at a time, and verifies a table
-loaded from JSON, across the wrap from row N-1 back to row 0 too. A single
-value needs only one row, x^(x mod N) mod P, which extrapolate computes
-when it is given the period system instead of a table. The spectrum is
+are the identity block, since x^r with r < l needs no reduction. So a
+table needs no object of its own, only its recurrence
+(`table_recurrence`) and one walk, `table_walk`, a generator that does
+that shift: it fills the table, feeds the CLI writer the rows as cell
+text one row at a time, and verifies a table loaded from JSON, across the
+wrap from row N-1 back to row 0 too. A single value needs only one row,
+x^(x mod N) mod P, which extrapolate computes when it is given the period
+system instead of a table. The spectrum is
 closed under q -> -q mod 1, so P is its own reciprocal up to sign:
 x^l P(1/x) = -P(x). As x^N = 1 mod P, row t reversed is then row
 (l-1-t) mod N, so row r is x^s for s = min(r, (l-1-r) mod N), reversed
@@ -202,82 +204,63 @@ def check_size(ps: PeriodSystem, rows: int | None = None) -> None:
             raise TableSizeError(what.format(_count(width)) + cap)
 
 
-class TableRows(Record):
-    """Rows 0, ..., count-1 of the table of a recurrence, walked on demand.
+def table_walk(recurrence: tuple[int, ...], count: int, cell=None):
+    """Rows 0, ..., count-1 of the table of a recurrence, each in turn, from
+    x^0, as a new list of its int entries, or of cell(c) for each entry c
+    when cell is given; the next row is made from it, so it must not be
+    changed.
 
     Row n is the coordinate vector of x^n mod P, for P the monic polynomial
-    z^l - a_1 z^(l-1) - ... - a_l of the recurrence (a_1, ..., a_l). Each
-    row is x times the row before: shifted up one place, plus its top entry
-    times the reversed recurrence, which is nonzero only under P's nonzero
-    coefficients. `walk` computes a table's rows, `_row` one row by the same
-    substitution; the CLI writer takes these rows as their own case, since
-    every cell is an int the walk computed.
-    """
-
-    __slots__ = ("recurrence", "count")
-
-    def __init__(self, recurrence: tuple[int, ...], count: int):
-        recurrence = tuple(recurrence)
-        if not recurrence:
-            raise ValueError("a table needs a recurrence of length >= 1")
-        object.__setattr__(self, "recurrence", recurrence)
-        object.__setattr__(self, "count", count)
-
-    def walk(self, cell=None):
-        """Each row in turn, from x^0, as a new list of its int entries, or
-        of cell(c) for each entry c when cell is given; the next row is made
-        from it, so it must not be changed.
-
-        A row is the row before shifted one place: one list copy, whose
-        insert at 0 moves the entries in C. When that row's top entry is
-        nonzero, only the entries under the recurrence's nonzero coefficients
-        are then recomputed as ints; with cell given, a second list, of
-        cells, is shifted alike, and just those entries are passed through
-        cell again. So no entry is computed or encoded where it cannot differ
-        from the shift."""
-        tail = self.recurrence[::-1]
-        sparse = [(j, a) for j, a in enumerate(tail) if a]
-        row = [1] + [0] * (len(tail) - 1)
-        if cell is None:
-            for _ in range(self.count):
-                yield row
-                top = row[-1]
-                row = row[:-1]
-                row.insert(0, 0)
-                if top:
-                    for j, a in sparse:
-                        row[j] += top * a
-            return
-        cells = list(map(cell, row))
-        blank = cell(0)
-        for _ in range(self.count):
-            yield cells
+    z^l - a_1 z^(l-1) - ... - a_l of the recurrence (a_1, ..., a_l), l >= 1.
+    A row is the row before shifted one place: one list copy, whose insert
+    at 0 moves the entries in C. When that row's top entry is nonzero, only
+    the entries under the recurrence's nonzero coefficients are then
+    recomputed as ints; with cell given, a second list, of cells, is shifted
+    alike, and just those entries are passed through cell again. So no entry
+    is computed or encoded where it cannot differ from the shift."""
+    tail = recurrence[::-1]
+    sparse = [(j, a) for j, a in enumerate(tail) if a]
+    row = [1] + [0] * (len(tail) - 1)
+    if cell is None:
+        for _ in range(count):
+            yield row
             top = row[-1]
             row = row[:-1]
             row.insert(0, 0)
-            cells = cells[:-1]
-            cells.insert(0, blank)
             if top:
                 for j, a in sparse:
-                    row[j] = c = row[j] + top * a
-                    cells[j] = cell(c)
+                    row[j] += top * a
+        return
+    cells = list(map(cell, row))
+    blank = cell(0)
+    for _ in range(count):
+        yield cells
+        top = row[-1]
+        row = row[:-1]
+        row.insert(0, 0)
+        cells = cells[:-1]
+        cells.insert(0, blank)
+        if top:
+            for j, a in sparse:
+                row[j] = c = row[j] + top * a
+                cells[j] = cell(c)
 
 
-def table_rows(ps: PeriodSystem) -> TableRows:
-    """The N rows of the period system's table, not yet walked. Raises
-    TableSizeError when N*l exceeds DEFAULT_MAX_CELLS, before anything else
-    is computed, so a runaway lcm or spectrum cannot thrash memory; then
-    builds the recurrence."""
-    n_rows = ps.modulus
-    check_size(ps, n_rows)
-    return TableRows(recurrence_coeffs(characteristic_poly(ps)), n_rows)
+def table_recurrence(ps: PeriodSystem) -> tuple[int, ...]:
+    """The recurrence of the period system's table, whose `table_walk` over
+    N rows is the table. Raises TableSizeError when N*l exceeds
+    DEFAULT_MAX_CELLS, before anything else is computed, so a runaway lcm or
+    spectrum cannot thrash memory; then builds the recurrence."""
+    check_size(ps, ps.modulus)
+    return recurrence_coeffs(characteristic_poly(ps))
 
 
 def coefficient_table(ps: PeriodSystem) -> CoefficientTable:
     """Build the full reconstruction table for a period system: the int rows
-    of `table_rows(ps)`, refused as it refuses."""
-    rows = table_rows(ps)
-    return CoefficientTable(ps, rows.recurrence, tuple(map(tuple, rows.walk())))
+    of its `table_walk`, refused as `table_recurrence(ps)` refuses."""
+    recurrence = table_recurrence(ps)
+    rows = tuple(map(tuple, table_walk(recurrence, ps.modulus)))
+    return CoefficientTable(ps, recurrence, rows)
 
 
 def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
@@ -285,7 +268,7 @@ def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
     for s = min(r, (l-1-r) mod N), reversed when s is not r. x^s is powered
     left to right from x^t, t the longest prefix of s below 2l, squaring by
     the `IntPolynomial` product; each power is reduced from its top by
-    x^l = sum a x^j over the (j, a) pairs of `TableRows.walk`, P's nonzero
+    x^l = sum a x^j over the (j, a) pairs of `table_walk`, P's nonzero
     coefficients negated, kept as (j - l, a). So a row below 2l takes no
     product."""
     width = charpoly.degree
@@ -464,7 +447,7 @@ def table_from_json_dict(doc: dict) -> CoefficientTable:
             or build_spectrum(ps).elements != elements):
         raise ValueError("malformed table document: spectrum or N disagrees with the periods")
     # row N of the walk is x^N mod P, which must wrap back to row 0
-    expected = TableRows(recurrence, n_rows + 1).walk()
+    expected = table_walk(recurrence, n_rows + 1)
     for n, (row, shifted) in enumerate(zip(rows, expected)):
         if list(row) != shifted:
             if n < width:

@@ -329,6 +329,24 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert "Exception ignored" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_with_one_error_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "persum", "spectrum", "2", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_row_cap_exits_3_before_any_work(capsys):
     for argv, message in (
         (("coeffs", "999983", "1000003"), "error: table too large: "),

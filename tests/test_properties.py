@@ -41,8 +41,9 @@ from persum.reconstruction import (
     coefficient_table,
     extrapolate,
     table_from_json_dict,
-    table_rows,
+    table_recurrence,
     table_to_json_dict,
+    table_walk,
 )
 from persum.spectrum import PeriodSystem
 
@@ -317,7 +318,8 @@ def test_the_grammar_reader_reads_what_argparse_reads_or_nothing(argv):
 
 
 # The trees the CLI writes: str-keyed dicts, lists, strings and booleans,
-# drawn here; a table's rows, a `TableRows`, are drawn on their own below.
+# drawn here; a table's rows, a generator from `table_walk`, are drawn on their
+# own below.
 # Strings from ASCII with `"` and `\` come often, so lists that need only one
 # escape are drawn as well as lists that need none.
 json_strings = st.one_of(st.text(), st.text(st.characters(max_codepoint=127)))
@@ -351,7 +353,7 @@ def test_cli_writer_matches_json_dumps_indent_2(tree):
      (), ((),), ((), (0, -1)), {"rows": ((1, 0), (1, 0), (-(2**70), 1))}, [((),), ()]],
 )
 def test_cli_writer_refuses_a_non_string_scalar(tree):
-    # a tuple of int tuples is no table's rows: only `TableRows` are
+    # a tuple of int tuples is no table's rows: only a generator of token rows is
     with pytest.raises(TypeError):
         _dumps(tree)
 
@@ -384,9 +386,21 @@ def test_cli_writer_matches_json_dumps_indent_2_on_table_rows(value):
             _dumps(value)
         return
     rows = [[str(cell) for cell in row] for row in coefficient_table(value).rows]
-    streamed = table_rows(value)
-    for doc, expect in ((streamed, rows), ({"N": "1", "rows": streamed}, {"N": "1", "rows": rows})):
+    recurrence = table_recurrence(value)
+
+    def streamed():  # a generator is walked once, so each document gets its own
+        return table_walk(recurrence, value.modulus, _QuotedCell().__getitem__)
+
+    for doc, expect in ((streamed(), rows), ({"N": "1", "rows": streamed()}, {"N": "1", "rows": rows})):
         assert_same_text(_dumps(doc), json.dumps(expect, indent=2))
+
+
+def test_cli_writer_writes_an_empty_row_generator_as_an_empty_list():
+    def empty():  # a walk of no rows
+        return table_walk((1,), 0, _QuotedCell().__getitem__)
+
+    for doc, expect in ((empty(), []), ({"N": "1", "rows": empty()}, {"N": "1", "rows": []})):
+        assert _dumps(doc) == json.dumps(expect, indent=2)
 
 
 def test_assert_same_text_names_the_first_difference():

@@ -26,8 +26,9 @@ from persum.reconstruction import (
     finewilf_difference_gcd,
     recurrence_coeffs,
     table_from_json_dict,
-    table_rows,
+    table_recurrence,
     table_to_json_dict,
+    table_walk,
 )
 from persum.spectrum import PeriodSystem, build_spectrum, size_by_inclusion_exclusion
 
@@ -206,11 +207,12 @@ def test_walked_rows_match_poly_powmod(periods, nonzero):
     ps = PeriodSystem(periods)
     charpoly = characteristic_poly(ps)
     assert sum(1 for c in charpoly.coeffs[:-1] if c) == nonzero
-    rows = table_rows(ps)
+    recurrence = table_recurrence(ps)
     width, n_rows = charpoly.degree, ps.modulus
     rng = random.Random(sum(periods))
     picks = {0, width - 1, width, n_rows - 1, *rng.sample(range(n_rows), 12)}
-    for n, (row, text) in enumerate(zip(rows.walk(), rows.walk(str))):
+    walks = table_walk(recurrence, n_rows), table_walk(recurrence, n_rows, str)
+    for n, (row, text) in enumerate(zip(*walks)):
         if n in picks:
             coeffs = poly_powmod(X, n, charpoly).coeffs
             expect = list(coeffs) + [0] * (width - len(coeffs))
@@ -776,9 +778,10 @@ def test_json_rejects_malformed_documents():
     with pytest.raises(ValueError):
         table_from_json_dict(broken)
 
-    # a width of 0 with every field consistent with it
+    # a width of 0 with every field consistent with it: every spectrum holds
+    # 0/1, so it is refused before any row is walked
     broken = dict(good, l="0", spectrum=[], charpoly=["1"], recurrence=[], rows=[[]] * 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="spectrum or N disagrees"):
         table_from_json_dict(broken)
 
 
