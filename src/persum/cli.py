@@ -481,6 +481,15 @@ def _write(value, indent: str, emit) -> None:
         emit(indent + "]")
 
 
+def _error(exc: Exception) -> None:
+    """Print the one `error:` line. Where stderr cannot take it, devnull takes
+    what stderr holds, so its exit flush cannot change the exit code."""
+    try:
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -490,10 +499,10 @@ def main(argv=None) -> int:
     try:
         doc = args.func(args)  # a document, or None once written
     except TableSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     try:
         if doc is not None:
@@ -504,7 +513,7 @@ def main(argv=None) -> int:
         # exit 2 as for an unwritable --out, saying why unless the reader is
         # gone; devnull quiets the exit flush of what stdout still holds
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0

@@ -4,7 +4,9 @@ Coefficients are stored in ascending degree order (constant term first).
 All arithmetic stays in arbitrary-precision ints, and division is only
 offered against divisors with a unit leading coefficient. Cyclotomic and
 characteristic polynomials are both formed as products of binomials
-(x^g - 1)^e_g, one O(degree) pass per factor.
+(x^g - 1)^e_g, one O(degree) pass per factor. Every other product,
+`IntPolynomial *` and the squarings of `reconstruction._row`, is the one
+Kronecker substitution `_kronecker_mul`: one big-int multiplication.
 
 >>> cyclotomic_poly(6)
 IntPolynomial(coeffs=(1, -1, 1))
@@ -16,11 +18,6 @@ from functools import lru_cache
 
 from .numth import Record, check_positive, divisors, gcd_exponents
 from .spectrum import PeriodSystem
-
-# Below this many coefficients on either side, schoolbook convolution beats
-# the packing overhead of Kronecker substitution (measured crossover: 14-16
-# coefficients, for coefficients up to 10 or up to 10^6 in size).
-_KRONECKER_CUTOFF = 16
 
 
 class IntPolynomial(Record):
@@ -52,16 +49,9 @@ class IntPolynomial(Record):
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if self.is_zero() or other.is_zero():  # _kronecker_mul needs both nonzero
             return IntPolynomial()
-        if min(len(self.coeffs), len(other.coeffs)) >= _KRONECKER_CUTOFF:
-            return IntPolynomial(_kronecker_mul(self.coeffs, other.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_kronecker_mul(self.coeffs, other.coeffs))
 
     def divmod_exact(self, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Quotient and remainder against q, staying inside Z[x].

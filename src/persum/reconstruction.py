@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import IntPolynomial, characteristic_poly
+from .cyclotomic import IntPolynomial, _kronecker_mul, characteristic_poly
 from .groups import scale, zero_like
 from .numth import Record, strict_int
 from .spectrum import (
@@ -267,10 +267,10 @@ def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
     """Row r of the table of P = charpoly with N = n_rows rows: x^s mod P
     for s = min(r, (l-1-r) mod N), reversed when s is not r. x^s is powered
     left to right from x^t, t the longest prefix of s below 2l, squaring by
-    the `IntPolynomial` product; each power is reduced from its top by
-    x^l = sum a x^j over the (j, a) pairs of `table_walk`, P's nonzero
-    coefficients negated, kept as (j - l, a). So a row below 2l takes no
-    product."""
+    the one product `_kronecker_mul` (x is a unit mod P, so no row is zero);
+    each power is reduced from its top by x^l = sum a x^j over the (j, a)
+    pairs of `table_walk`, P's nonzero coefficients negated, kept as
+    (j - l, a). So a row below 2l takes no product."""
     width = charpoly.degree
     s = min(r, (width - 1 - r) % n_rows)
     sparse = [(j - width, -c) for j, c in enumerate(charpoly.coeffs[:-1]) if c]
@@ -280,8 +280,7 @@ def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
     row = [0] * (s >> bits) + [1]
     for i in range(bits, -1, -1):
         if i < bits:
-            power = IntPolynomial(row)
-            row = list((power * power).coeffs)
+            row = _kronecker_mul(row, row)
             if s >> i & 1:
                 row.insert(0, 0)
         for top in range(len(row) - 1, width - 1, -1):

@@ -347,6 +347,32 @@ def test_full_stdout_exits_2_with_one_error_line():
     assert "Exception ignored" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stderr_keeps_the_exit_code():
+    # the error line is lost to the full device, but its failed write and the
+    # exit flush of stderr change nothing: an uncaught traceback would exit 1,
+    # a failed exit flush 120; with stderr alone on /dev/full, stdout shows
+    # that nothing else was printed
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "persum", "coeffs", "999983"],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        proc = subprocess.run(
+            [sys.executable, "-m", "persum", "spectrum", "2", "3"],
+            stdout=full,
+            stderr=full,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+
+
 def test_row_cap_exits_3_before_any_work(capsys):
     for argv, message in (
         (("coeffs", "999983", "1000003"), "error: table too large: "),

@@ -103,17 +103,21 @@ def test_multiplication_by_zero():
 
 
 def test_kronecker_route_matches_schoolbook():
-    # large operands go through the packed-integer multiply; check it
-    # against direct convolution on signed inputs
+    # every product goes through the packed-integer multiply; check it
+    # against direct convolution on signed inputs, from one coefficient a
+    # side up, and with entries in -1..1 for zero operands and trailing zeros
     rng = random.Random(22)
-    for _ in range(60):
-        a = [rng.randint(-500, 500) for _ in range(rng.randint(33, 120))]
-        b = [rng.randint(-500, 500) for _ in range(rng.randint(33, 120))]
+    shapes = [(rng.randint(33, 120), rng.randint(33, 120), 500) for _ in range(60)]
+    shapes += [(m, n, magnitude) for m in range(1, 33) for n in (1, m, rng.randint(1, 40))
+               for magnitude in (1, 500)]
+    for m, n, magnitude in shapes:
+        a = [rng.randint(-magnitude, magnitude) for _ in range(m)]
+        b = [rng.randint(-magnitude, magnitude) for _ in range(n)]
         got = IntPolynomial(tuple(a)) * IntPolynomial(tuple(b))
         expect = IntPolynomial(tuple(schoolbook_mul(a, b)))
         assert got == expect
-    # the packed route itself, below the cutoff too: from one byte per
-    # digit up to digits of many bytes
+    # the packed route itself: from one byte per digit up to digits of many
+    # bytes
     for size in range(1, 121):
         for magnitude in (1, 127, 10**30):
             a = [rng.randint(-magnitude, magnitude) for _ in range(size)]

@@ -524,16 +524,19 @@ def test_walked_row_is_the_powered_row(ps, x):
 def test_a_row_below_2l_takes_no_polynomial_product(monkeypatch):
     # x^s with s < 2l is reduced from its top, with no squaring: row l - 1
     # of (97, 101) is the unit vector, row 2000 of (4001,) is below l, and
-    # row -1 of (2, 7069) is row l reversed
+    # row -1 of (2, 7069) is row l reversed; row 1000 of (97, 101), at 1000
+    # >= 2l = 394, squares, so the refused name is the one `_row` squares by
     def refuse(*args):
-        raise AssertionError("multiplied two polynomials for a row below 2l")
+        raise AssertionError("multiplied two polynomials")
 
-    monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(persum.reconstruction, "_kronecker_mul", refuse)
     rng = random.Random(55)
     for periods, x in (((4001,), 2000), ((2, 7069), -1), ((97, 101), 196)):
         psi = random_sum(rng, periods, lambda r: r.randint(-10**6, 10**6))
         width = size_by_inclusion_exclusion(PeriodSystem(periods))
         assert extrapolate(PeriodSystem(periods), [psi(r) for r in range(width)], x) == psi(x)
+    with pytest.raises(AssertionError, match="multiplied two polynomials"):
+        extrapolate(PeriodSystem((97, 101)), [0] * 197, 1000)
 
 
 def test_extrapolate_from_period_system_builds_no_fractions(monkeypatch):
