@@ -8,10 +8,13 @@ A `coeffs` document holds its table's rows as a generator, the
 `reconstruction.table_walk` of its recurrence with each cell made its quoted
 decimal string; `_write` writes each row as one piece as the walk yields it,
 so no table, no whole text and no per-cell lookup is needed.
-Every integer on the command line is read by `numth.strict_int`, the rule
-for documents too: ASCII digits after an optional '-', so a space, '+', '_'
-or another script's digit exits 2. A --vec value joins its entries with
-commas alone, as in 1,-2.
+Every integer on the command line is read by the rule of `numth.strict_int`
+(`strict_ints` for a list of them), the rule for documents too: ASCII
+digits after an optional '-', so a space, '+', '_' or another script's digit
+exits 2. A --vec value joins its entries with
+commas alone, as in 1,-2. `extrapolate` builds no group object: --int and
+--mod values are ints, and --vec values d-tuples of ints, d int columns
+rebuilt against one row (`reconstruction.extrapolate`).
 The grammar is one table, `_COMMANDS`. `main` reads a valid command line
 from it with `_read`, which imports no argparse, gettext or locale. Help,
 every error, and any line `_read` leaves alone go to argparse, built from
@@ -41,8 +44,7 @@ from .covering import (
     window_gcd,
 )
 from .cyclotomic import characteristic_poly
-from .groups import IntVector
-from .numth import strict_int
+from .numth import strict_int, strict_ints
 from .reconstruction import (
     PeriodicMap,
     TableSizeError,
@@ -243,42 +245,51 @@ def cmd_coeffs(args) -> dict | None:
     return None
 
 
+def _vec_entries(tokens: list[str], d: int) -> list[int]:
+    """The entries of the --vec values, flat and in order, read by
+    `strict_ints`. The values are refused in order, as if read one by one:
+    the first malformed one for its first malformed entry, else for not
+    having d entries."""
+    counts = [token.count(",") for token in tokens]
+    short = len(tokens)
+    if counts.count(d - 1) != short:
+        short = next(i for i, n in enumerate(counts) if n != d - 1)
+    entries = strict_ints(",".join(tokens[:short + 1]).split(","))
+    if short < len(tokens):
+        raise ValueError(f"expected {d} comma-separated entries, got {tokens[short]!r}")
+    return entries
+
+
 def cmd_extrapolate(args) -> dict:
     ps = PeriodSystem(tuple(args.periods))
-    if args.mod is not None:
-        # Z -> Z_M is a homomorphism: the values are reduced into [0, M) and
-        # extrapolated over Z, and the result is reduced once
-        group = {"group": "mod", "modulus": str(args.mod)}
-        parse = lambda tok: strict_int(tok) % args.mod  # noqa: E731
-        to_json = str
-    elif args.vec is not None:
-        group = {"group": "vec", "dimension": str(args.vec)}
-
-        def parse(tok: str) -> IntVector:
-            entries = tuple(strict_int(part) for part in tok.split(","))
-            if len(entries) != args.vec:
-                raise ValueError(
-                    f"expected {args.vec} comma-separated entries, got {tok!r}"
-                )
-            return IntVector(entries)
-
-        to_json = lambda value: [str(a) for a in value.entries]  # noqa: E731
-    else:
-        group = {"group": "int"}
-        parse, to_json = strict_int, str
+    m, d = args.mod, args.vec
     try:
-        initial = [parse(tok) for tok in args.initial]
+        entries = strict_ints(args.initial) if d is None else _vec_entries(args.initial, d)
     except ValueError as exc:
         raise ValueError(f"bad initial value: {exc}") from None
-    value = extrapolate(ps, initial, args.at)
-    if args.mod is not None:
-        value %= args.mod
+    if m is not None:
+        # Z -> Z_M is a homomorphism: the values are reduced into [0, M) and
+        # extrapolated over Z, and the result is reduced once
+        group = {"group": "mod", "modulus": str(m)}
+        entries = [v % m for v in entries]
+    elif d is not None:
+        group = {"group": "vec", "dimension": str(d)}
+    else:
+        group = {"group": "int"}
+    texts = list(map(str, entries))
+    if d is None:
+        value = extrapolate(ps, entries, args.at)
+        initial, value = texts, str(value if m is None else value % m)
+    else:
+        # zip over d references to one iterator cuts a flat list into d-tuples
+        initial = list(map(list, zip(*[iter(texts)] * d)))
+        value = list(map(str, extrapolate(ps, list(zip(*[iter(entries)] * d)), args.at)))
     return {
         "periods": [str(n) for n in ps.periods],
         **group,
         "x": str(args.at),
-        "initial": [to_json(v) for v in initial],
-        "value": to_json(value),
+        "initial": initial,
+        "value": value,
     }
 
 
@@ -423,6 +434,12 @@ class _QuotedCell(dict):
         return token
 
 
+def _needs_no_escape(text: str) -> bool:
+    """Whether json.dumps writes every string of which text is the join as
+    itself in quotes: printable ASCII without `"` or `\\`."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _write(value, indent: str, emit) -> None:
     """Pass to emit, in pieces, the text of `json.dumps(value, indent=2)` for
     a tree of str-keyed dicts, lists, strings, booleans and generators of
@@ -433,9 +450,11 @@ def _write(value, indent: str, emit) -> None:
 
     `json.dumps` runs its pure-Python encoder whenever `indent` is set. Here
     a list of strings that need no escape (printable ASCII without `"` or
-    `\\`, one test over their join) is written by a single join; any other
-    string is quoted by `json`'s own escaper, so the text stays exact. A
-    generator's rows are written as it yields them, so no table is held.
+    `\\`, one test over their join) is written by a single join, and a list
+    of nonempty such lists, as the echo of `extrapolate --vec`, by one join
+    of those; any other string is quoted by `json`'s own escaper, so the
+    text stays exact. A generator's rows are written as it yields them, so
+    no table is held.
     """
     if isinstance(value, str):
         emit(encode_basestring_ascii(value))
@@ -469,12 +488,21 @@ def _write(value, indent: str, emit) -> None:
         try:
             joined = "".join(value)
         except TypeError:  # not all strings
-            for item in value:
-                emit(sep)
-                _write(item, inner, emit)
-                sep = "," + inner
+            try:
+                nested = all(type(item) is list and item for item in value) and "".join(map("".join, value))
+            except TypeError:  # not all lists of strings
+                nested = ""
+            if nested and _needs_no_escape(nested):
+                cell = inner + "  "
+                quote = '",' + cell + '"'
+                emit(sep + ("," + inner).join([f'[{cell}"{quote.join(item)}"{inner}]' for item in value]))
+            else:
+                for item in value:
+                    emit(sep)
+                    _write(item, inner, emit)
+                    sep = "," + inner
         else:
-            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
+            if _needs_no_escape(joined):
                 emit(sep + '"' + ('",' + inner + '"').join(value) + '"')
             else:
                 emit(sep + ("," + inner).join(map(encode_basestring_ascii, value)))

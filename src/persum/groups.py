@@ -10,6 +10,13 @@ realization never implements multiplication itself. Three ship here:
   * ModInt, integers mod m for m >= 1 (the group Z_m), whose zero carries m,
   * IntVector, integer vectors of dimension d (the group Z^d), whose zero
     carries d.
+
+`reconstruction.extrapolate` needs none of this for ints, or for a point
+of Z^d given as a plain tuple of d ints: its row's coefficients are ints, so
+it rebuilds those coordinatewise, one int dot product per coordinate, and
+the CLI rebuilds each of its groups that way (Z_m as Z, reduced once). A
+value of a class here, or of any other with the four operations, takes the
+scale() route.
 """
 
 from __future__ import annotations

@@ -79,6 +79,21 @@ def strict_int(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
+def strict_ints(texts: list[str]) -> list[int]:
+    """strict_int of each string, in order. Over ASCII digits and '-', int()
+    takes exactly the strings strict_int takes: '-' can only be a leading
+    sign, and nothing else int() would take is there. So where the join of
+    the strings is such text, the rule is tested once and int() reads each
+    string in C; otherwise strict_int refuses the first that breaks it."""
+    joined = "".join(texts)
+    if joined.isascii() and joined.replace("-", "").isdigit():
+        try:
+            return list(map(int, texts))
+        except ValueError:  # a '-' out of place, or an empty string
+            pass
+    return list(map(strict_int, texts))
+
+
 def gcd_exponents(values: Iterable[int]) -> dict[int, int]:
     """Signed gcd counts: e_g sums (-1)^(|T|+1) over the nonempty subsets T
     of values with gcd(T) == g; zero entries are dropped.

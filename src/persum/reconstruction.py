@@ -20,7 +20,10 @@ that shift: it fills the table, feeds the CLI writer the rows as cell
 text one row at a time, and verifies a table loaded from JSON, across the
 wrap from row N-1 back to row 0 too. A single value needs only one row,
 x^(x mod N) mod P, which extrapolate computes when it is given the period
-system instead of a table. The spectrum is
+system instead of a table, and joins to the initial values by int
+coordinates: one dot product for ints, d for points of Z^d given as tuples
+of d ints, and `groups.scale` only for values of a group class. The
+spectrum is
 closed under q -> -q mod 1, so P is its own reciprocal up to sign:
 x^l P(1/x) = -P(x). As x^N = 1 mod P, row t reversed is then row
 (l-1-t) mod N, so row r is x^s for s = min(r, (l-1-r) mod N), reversed
@@ -47,10 +50,12 @@ above 360360 has l <= 50, so the rule also refuses every N above 10^6.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import mul
 
 from .cyclotomic import IntPolynomial, _kronecker_mul, characteristic_poly
 from .groups import scale, zero_like
-from .numth import Record, strict_int
+from .numth import Record, check_int, strict_int
 from .spectrum import (
     PeriodSystem,
     build_spectrum,
@@ -292,10 +297,37 @@ def _row(charpoly: IntPolynomial, r: int, n_rows: int) -> list[int]:
     return row if s == r else row[::-1]
 
 
-def _check_initial(initial: tuple, width: int) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _initial_kind(initial: tuple, width: int) -> str:
+    """How extrapolate combines the initial values with the row: "int" for
+    ints, one column; "tuple" for points of Z^d given as tuples of d >= 1
+    ints, d columns; "group" for values of a group class, which must share
+    one group. Anything else, a bool, a float, a string, a ragged or mixed
+    list, raises ValueError. The type tests run in C where every value is
+    well formed."""
     if len(initial) != width:
         raise ValueError(f"expected {width} initial values, got {len(initial)}")
-    _check_one_group(initial)
+    kinds = set(map(type, initial))
+    if kinds == {int} or all(map(_is_int, initial)):
+        return "int"
+    if kinds == {tuple}:
+        if not initial[0] or set(map(len, initial)) != {len(initial[0])}:
+            raise ValueError("tuple values need one number d >= 1 of entries, the same for each")
+        entries = list(chain.from_iterable(initial))
+        if set(map(type, entries)) != {int}:
+            for a in entries:
+                check_int(a, "a tuple entry")
+        return "tuple"
+    if all(hasattr(value, "zero") for value in initial):
+        _check_one_group(initial)
+        return "group"
+    for value in initial:
+        if not (_is_int(value) or type(value) is tuple or hasattr(value, "zero")):
+            raise ValueError(f"not an int, a tuple of ints or a group value: {value!r}")
+    raise ValueError("mixed group realizations")
 
 
 def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
@@ -309,9 +341,17 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     l rows of l. initial is read as the values at 0, ..., l-1 of a map that
     is a sum of periodic maps with the source's periods; the result then
     equals that map's value at x, negative x included.
-    Arbitrary initial vectors are accepted, with the agreement promise only
-    where such a sum exists. N, then l, then the count and group of the
-    initial values, are checked before the row is computed.
+
+    The value is sum c_r g_r over the row (c_r) and the initial values
+    (g_r), and the c_r are ints. Ints are one column, and points of Z^d
+    given as tuples of d ints are d columns (Z_m is a quotient of Z, so
+    values mod m are rebuilt over Z and reduced once); each column is one
+    dot product with the row, and a tuple value gives a tuple. Values of a
+    group class (any with zero(), +, unary - and ==, such as ModInt and
+    IntVector) are summed by `scale` instead. Arbitrary initial vectors are
+    accepted, with the agreement promise only where such a sum exists. N,
+    then l, then the count and kind of the initial values, are checked
+    before the row is computed.
     """
     initial = tuple(initial)
     if isinstance(source, PeriodSystem):
@@ -324,12 +364,15 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
             raise TableSizeError(f"row too large: the single row of l = {width} cells is sized as "
                                  f"{width} rows of {width} cells, which exceed the cap of "
                                  f"{DEFAULT_MAX_CELLS}")
-        charpoly = characteristic_poly(source)
-        _check_initial(initial, charpoly.degree)
-        row = _row(charpoly, x % n_rows, n_rows)
+        kind = _initial_kind(initial, width)
+        row = _row(characteristic_poly(source), x % n_rows, n_rows)
     else:
-        _check_initial(initial, source.width)
+        kind = _initial_kind(initial, source.width)
         row = source.row_for(x)
+    if kind == "int":
+        return sum(map(mul, row, initial))
+    if kind == "tuple":
+        return tuple(sum(map(mul, row, column)) for column in zip(*initial))
     acc = zero_like(initial[0])
     for c, g in zip(row, initial):
         if c:

@@ -1,7 +1,10 @@
 """Property tests: the table, the single-row route and brute force agree on
-random sums in four groups, one of them a class defined here, the marked multiplicity window agrees with per-position
-counting, the two parsers of outside input fail only with ValueError, the
-CLI takes an integer exactly when it is ASCII digits after an optional '-',
+random sums in four groups, one of them a class defined here, and on ints
+and int tuples rebuilt coordinatewise, where the group route agrees too; the
+marked multiplicity window agrees with per-position counting, the two
+parsers of outside input fail only with ValueError, the CLI takes an
+integer exactly when it is ASCII digits after an optional '-', strict_ints
+reads a list as strict_int reads each string,
 the CLI's grammar reader reads argv exactly as argparse does or leaves it to
 argparse, and the CLI's JSON writer, table rows included, writes the bytes of
 `json.dumps(indent=2)`.
@@ -34,7 +37,7 @@ from persum.covering import (
     parse_residue_system,
 )
 from persum.groups import IntVector, ModInt, zero_like
-from persum.numth import divisors
+from persum.numth import divisors, strict_int, strict_ints
 from persum.reconstruction import (
     PeriodicMap,
     SumOfPeriodicMaps,
@@ -117,6 +120,42 @@ def test_table_row_single_row_and_brute_force_agree(group, data):
     for c, g in zip(table.row_for(x), initial):
         by_row = by_row + times(g, c)
     assert by_row == extrapolate(table, initial, x) == extrapolate(ps, initial, x) == psi(x)
+
+
+@settings(FIXED, max_examples=80)
+@given(
+    ps=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(lambda p: PeriodSystem(tuple(p))),
+    d=st.integers(1, 4),
+    m=st.integers(1, 10**9),
+    x=st.integers(-10**18, 10**18),
+    data=st.data(),
+)
+def test_coordinate_path_matches_brute_force_and_the_group_path(ps, d, m, x, data):
+    # ints and d-tuples of ints are rebuilt by one dot product per
+    # coordinate; each must equal the sum evaluated at x, and the scale
+    # route on the same values as IntVector and ModInt, from the period
+    # system and from its table
+    table = table_for(ps)
+    entries = st.integers(-10**20, 10**20)
+    ints = [data.draw(st.lists(entries, min_size=n, max_size=n)) for n in ps.periods]
+    points = [data.draw(st.lists(st.tuples(*[entries] * d), min_size=n, max_size=n))
+              for n in ps.periods]
+
+    def int_sum(y):
+        return sum(comp[y % len(comp)] for comp in ints)
+
+    def point_sum(y):
+        return tuple(map(sum, zip(*(comp[y % len(comp)] for comp in points))))
+
+    initial_ints = [int_sum(r) for r in range(table.width)]
+    initial_points = [point_sum(r) for r in range(table.width)]
+    for source in (ps, table):
+        value = extrapolate(source, initial_ints, x)
+        assert type(value) is int and value == int_sum(x)
+        point = extrapolate(source, initial_points, x)
+        assert type(point) is tuple and point == point_sum(x)
+        assert extrapolate(source, list(map(IntVector, initial_points)), x) == IntVector(point)
+        assert extrapolate(source, [ModInt(v, m) for v in initial_ints], x) == ModInt(value, m)
 
 
 residue_classes = st.builds(ResidueClass, st.integers(-10**6, 10**6), st.integers(1, 60))
@@ -249,6 +288,24 @@ def test_cli_takes_an_argv_integer_exactly_when_it_is_ascii_decimal(token):
         assert (code, out.getvalue()) == (2, "")
 
 
+@settings(FIXED, max_examples=300)
+@given(texts=st.lists(argv_tokens, min_size=1, max_size=5))
+@example(texts=["1", "-"])
+@example(texts=["", "2"])
+@example(texts=["1-2"])
+@example(texts=["--1", "3"])
+@example(texts=["-0", "007", "-12"])
+@example(texts=["1", "9" * 5000])  # over int()'s digit limit
+def test_strict_ints_reads_a_list_as_strict_int_reads_each_string(texts):
+    try:
+        expect = [strict_int(text) for text in texts]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            strict_ints(texts)
+    else:
+        assert strict_ints(texts) == expect
+
+
 # Value tokens besides plain integers: --vec tokens, and what argparse reads
 # apart from a plain value: '-', '--', '=', '-h', empty strings, spaces, '+1'
 # and digits of other scripts.
@@ -343,13 +400,19 @@ json_trees = st.recursive(
 @example(tree=[[], ["1"]])
 @example(tree=[True, "1"])
 @example(tree={"a": []})
+@example(tree=[["1", "-2"], ["3", "4"]])  # the echo of extrapolate --vec, one join
+@example(tree=[["1"], []])
+@example(tree=[["1"], ['"']])
+@example(tree=[["1"], "2"])
+@example(tree=[[""], [""]])
 def test_cli_writer_matches_json_dumps_indent_2(tree):
     assert_same_text(_dumps(tree), json.dumps(tree, indent=2))
 
 
 @pytest.mark.parametrize(
     "tree",
-    [1, None, ["1", 1], {"a": None}, ((None,),), (("1",),), ((1.0,),), ((True,),),
+    [1, None, ["1", 1], [["1", 1]], [["1"], [1]], [["1", ("2",)]], {"a": None},
+     ((None,),), (("1",),), ((1.0,),), ((True,),),
      (), ((),), ((), (0, -1)), {"rows": ((1, 0), (1, 0), (-(2**70), 1))}, [((),), ()]],
 )
 def test_cli_writer_refuses_a_non_string_scalar(tree):

@@ -4,6 +4,7 @@ two-period difference gcd."""
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -434,13 +435,54 @@ def test_extrapolate_checks_the_initial_values_before_the_row(monkeypatch):
     # the row is the costly step; on (999983,) a one-value request used to
     # compute it in full before the count was compared with l
     def refuse(*args):
-        raise AssertionError("computed the row before checking the initial values")
+        raise AssertionError("computed past the check of the initial values")
 
     monkeypatch.setattr(persum.reconstruction, "_row", refuse)
+    # nor is P built: the values are checked against l, which the size check
+    # already counted
+    monkeypatch.setattr(persum.reconstruction, "characteristic_poly", refuse)
     with pytest.raises(ValueError, match="expected 7 initial values, got 1"):
         extrapolate(PeriodSystem((7,)), [1], 5)
     with pytest.raises(ValueError, match="mixed group realizations"):
         extrapolate(PeriodSystem((2,)), [1, ModInt(1, 5)], 5)
+    for initial, message in NOT_ONE_GROUP:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extrapolate(PeriodSystem((2,)), initial, 5)
+
+
+# Initial values that are no group's, or not one group's: a float or a string
+# has no zero() and used to fail with AttributeError, and a bool, which
+# check_int and strict_int refuse, used to be rebuilt as an int
+NOT_ONE_GROUP = [
+    ([1.5, 2.5], "not an int, a tuple of ints or a group value: 1.5"),
+    (["1", "2"], "not an int, a tuple of ints or a group value: '1'"),
+    ([True, 1], "not an int, a tuple of ints or a group value: True"),
+    ([1, False], "not an int, a tuple of ints or a group value: False"),
+    ([ModInt(1, 5), 2.0], "not an int, a tuple of ints or a group value: 2.0"),
+    ([(1, 2), (3,)], "tuple values need one number d >= 1 of entries, the same for each"),
+    ([(), ()], "tuple values need one number d >= 1 of entries, the same for each"),
+    ([1, (2, 3)], "mixed group realizations"),
+    ([(2, 3), 1], "mixed group realizations"),
+    ([(1, 2), IntVector((3, 4))], "mixed group realizations"),
+    ([(1, True), (3, 4)], "a tuple entry must be an integer, got True"),
+    ([(1, 2), (3.0, 4)], "a tuple entry must be an integer, got 3.0"),
+]
+
+
+@pytest.mark.parametrize("initial, message", NOT_ONE_GROUP, ids=repr)
+def test_extrapolate_refuses_values_of_no_one_group_from_a_table_too(initial, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extrapolate(coefficient_table(PeriodSystem((2,))), initial, 5)
+
+
+def test_extrapolate_takes_int_subclasses_as_ints():
+    class Count(int):
+        pass
+
+    psi = SumOfPeriodicMaps((PeriodicMap((5, -2)), PeriodicMap((1, 7, -3))))
+    initial = [Count(psi(r)) for r in range(4)]
+    assert extrapolate(PeriodSystem((2, 3)), initial, 10**18) == psi(10**18)
+    assert extrapolate(PeriodSystem((2, 3)), [(v, Count(1)) for v in initial], -1) == (psi(-1), 1)
 
 
 def test_extrapolate_sizes_the_row_as_l_rows_of_l_cells(monkeypatch):
