@@ -4,19 +4,16 @@ A group value needs zero() (its group's identity), binary +, unary - and
 ==; any class with these runs through the same code path. The zero
 identifies the group: two values may be added exactly when their zeros are
 equal. Integer scaling is derived from + and - by scale(), so a
-realization never implements multiplication itself. Three ship here:
+realization never implements multiplication itself. Two classes ship
+here: ModInt, integers mod m >= 1 (Z_m), whose zero carries m, and
+IntVector, integer vectors of dimension d (Z^d), whose zero carries d.
 
-  * plain Python ints (the group Z), whose zero_like() is 0,
-  * ModInt, integers mod m for m >= 1 (the group Z_m), whose zero carries m,
-  * IntVector, integer vectors of dimension d (the group Z^d), whose zero
-    carries d.
-
-`reconstruction.extrapolate` needs none of this for ints, or for a point
-of Z^d given as a plain tuple of d ints: its row's coefficients are ints, so
-it rebuilds those coordinatewise, one int dot product per coordinate, and
-the CLI rebuilds each of its groups that way (Z_m as Z, reduced once). A
-value of a class here, or of any other with the four operations, takes the
-scale() route.
+Plain ints (Z, whose zero_like() is 0) and points of Z^d as plain tuples
+of d ints need no class: `reconstruction._initial_kind`, the one value
+rule of maps, sums, windows and extrapolate, takes them, a bool never as
+an int, and extrapolate rebuilds them by one int dot product per
+coordinate, as the CLI does each of its groups (Z_m as Z, reduced once).
+A group value takes the scale() route.
 """
 
 from __future__ import annotations

@@ -20,22 +20,23 @@ that shift: it fills the table, feeds the CLI writer the rows as cell
 text one row at a time, and verifies a table loaded from JSON, across the
 wrap from row N-1 back to row 0 too. A single value needs only one row,
 x^(x mod N) mod P, which extrapolate computes when it is given the period
-system instead of a table, and joins to the initial values by int
-coordinates: one dot product for ints, d for points of Z^d given as tuples
-of d ints, and `groups.scale` only for values of a group class. The
-spectrum is
-closed under q -> -q mod 1, so P is its own reciprocal up to sign:
-x^l P(1/x) = -P(x). As x^N = 1 mod P, row t reversed is then row
-(l-1-t) mod N, so row r is x^s for s = min(r, (l-1-r) mod N), reversed
-when s is not r. `_row` powers x^s left to right (Fiduccia's method) and
-reduces each power from its top by the walk's substitution, x^l = -sum p_j
-x^j over P's nonzero coefficients p_j below its top, nnz of them: a row
-below 2l takes no product, and each squaring past it up to l*nnz updates.
+system instead of a table. The spectrum is closed under q -> -q mod 1, so
+P is its own reciprocal up to sign: x^l P(1/x) = -P(x). As x^N = 1 mod P,
+row t reversed is then row (l-1-t) mod N, so row r is x^s for s = min(r,
+(l-1-r) mod N), reversed when s is not r. `_row` powers x^s left to right
+(Fiduccia's method) and reduces each power from its top by the walk's
+substitution, x^l = -sum p_j x^j over P's nonzero coefficients p_j below
+its top, nnz of them: a row below 2l takes no product, and each squaring
+past it up to l*nnz updates.
 
-l consecutive values decide such a map (the paper's local-global theorem),
-so l sizes every window certificate: the constancy window, the difference
-gcd window of two maps (Fine-Wilf's m + n - gcd(m, n)) and the covering
-windows, each counted as check_size counts l, by size_by_inclusion_exclusion.
+One rule, `_initial_kind`, takes the values of every map, sum, window
+and extrapolate: ints, or points of Z^d as tuples of d ints, which a row
+joins by one int dot product a coordinate, or values of one group class,
+joined by `groups.scale`. l consecutive values decide such a map (the
+paper's local-global theorem), so l sizes every window certificate: the
+constancy window, the difference gcd window of two maps (Fine-Wilf's
+m + n - gcd(m, n)) and the covering windows, each counted as check_size
+counts l, by size_by_inclusion_exclusion.
 
 The rows depend only on the spectrum, never on how the periods were
 listed, so one table serves every period system with the same divisor
@@ -54,7 +55,7 @@ from itertools import chain
 from operator import mul
 
 from .cyclotomic import IntPolynomial, _kronecker_mul, characteristic_poly
-from .groups import scale, zero_like
+from .groups import scale
 from .numth import Record, check_int, strict_int
 from .spectrum import (
     PeriodSystem,
@@ -71,14 +72,9 @@ class TableSizeError(ValueError):
     """The requested table, spectrum or row would exceed its cap."""
 
 
-def _check_one_group(values) -> None:
-    zero = zero_like(values[0])
-    if not all(zero_like(v) == zero for v in values[1:]):
-        raise ValueError("mixed group realizations")
-
-
 class PeriodicMap(Record):
-    """A map from Z to a group, given by its values at 0, ..., period-1."""
+    """A map from Z to a group, given by its values at 0, ..., period-1:
+    ints, tuples of d ints, or values of one group class (`_initial_kind`)."""
 
     __slots__ = ("values",)
 
@@ -86,7 +82,7 @@ class PeriodicMap(Record):
         values = tuple(values)
         if not values:
             raise ValueError("a periodic map needs at least one value")
-        _check_one_group(values)
+        _initial_kind(values, len(values))
         object.__setattr__(self, "values", values)
 
     @property
@@ -98,7 +94,7 @@ class PeriodicMap(Record):
 
 
 class SumOfPeriodicMaps(Record):
-    """The pointwise group sum of one or more periodic maps."""
+    """The pointwise sum of periodic maps of one kind; tuples add by coordinates."""
 
     __slots__ = ("components",)
 
@@ -106,7 +102,7 @@ class SumOfPeriodicMaps(Record):
         components = tuple(components)
         if not components:
             raise ValueError("empty component list")
-        _check_one_group([comp.values[0] for comp in components])
+        _initial_kind([comp.values[0] for comp in components], len(components))
         object.__setattr__(self, "components", components)
 
     @property
@@ -115,6 +111,8 @@ class SumOfPeriodicMaps(Record):
 
     def __call__(self, x: int):
         acc = self.components[0](x)
+        if type(acc) is tuple:
+            return tuple(map(sum, zip(acc, *(comp(x) for comp in self.components[1:]))))
         for comp in self.components[1:]:
             acc = acc + comp(x)
         return acc
@@ -301,15 +299,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _initial_kind(initial: tuple, width: int) -> str:
-    """How extrapolate combines the initial values with the row: "int" for
-    ints, one column; "tuple" for points of Z^d given as tuples of d >= 1
-    ints, d columns; "group" for values of a group class, which must share
-    one group. Anything else, a bool, a float, a string, a ragged or mixed
-    list, raises ValueError. The type tests run in C where every value is
-    well formed."""
+def _initial_kind(initial, width: int, what: str = "initial values") -> str:
+    """The kind of the values of a map, a sum, a window or extrapolate:
+    "int" for ints, one column; "tuple" for points of Z^d as tuples of the
+    same d >= 1 ints, d columns; "group" for values of a group class with
+    equal zeros. A count other than width or anything else, a bool, a
+    float, a string, a ragged or mixed list, raises ValueError. The type
+    tests run in C where every value is well formed."""
     if len(initial) != width:
-        raise ValueError(f"expected {width} initial values, got {len(initial)}")
+        raise ValueError(f"expected {width} {what}, got {len(initial)}")
     kinds = set(map(type, initial))
     if kinds == {int} or all(map(_is_int, initial)):
         return "int"
@@ -322,8 +320,10 @@ def _initial_kind(initial: tuple, width: int) -> str:
                 check_int(a, "a tuple entry")
         return "tuple"
     if all(hasattr(value, "zero") for value in initial):
-        _check_one_group(initial)
-        return "group"
+        zero = initial[0].zero()
+        if all(value.zero() == zero for value in initial[1:]):
+            return "group"
+        raise ValueError("mixed group realizations")
     for value in initial:
         if not (_is_int(value) or type(value) is tuple or hasattr(value, "zero")):
             raise ValueError(f"not an int, a tuple of ints or a group value: {value!r}")
@@ -342,17 +342,16 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
     is a sum of periodic maps with the source's periods; the result then
     equals that map's value at x, negative x included.
 
-    The value is sum c_r g_r over the row (c_r) and the initial values
-    (g_r), and the c_r are ints. Ints are one column, and points of Z^d
-    given as tuples of d ints are d columns (Z_m is a quotient of Z, so
-    values mod m are rebuilt over Z and reduced once); each column is one
-    dot product with the row, and a tuple value gives a tuple. Values of a
-    group class (any with zero(), +, unary - and ==, such as ModInt and
-    IntVector) are summed by `scale` instead. Arbitrary initial vectors are
-    accepted, with the agreement promise only where such a sum exists. N,
-    then l, then the count and kind of the initial values, are checked
-    before the row is computed.
+    The value is sum c_r g_r over the row (c_r), whose entries are ints,
+    and the initial values (g_r), of one kind by `_initial_kind`: each int
+    column is one dot product with the row, a tuple value gives a tuple
+    (Z_m is a quotient of Z, so values mod m are rebuilt over Z and reduced
+    once), and group values are summed by `scale`. Arbitrary initial
+    vectors are accepted, with the agreement promise only where such a sum
+    exists. x, then N, then l, then the count and kind of the initial
+    values, are checked before the row is computed.
     """
+    check_int(x, "x")
     initial = tuple(initial)
     if isinstance(source, PeriodSystem):
         n_rows = source.modulus
@@ -373,7 +372,7 @@ def extrapolate(source: CoefficientTable | PeriodSystem, initial, x: int):
         return sum(map(mul, row, initial))
     if kind == "tuple":
         return tuple(sum(map(mul, row, column)) for column in zip(*initial))
-    acc = zero_like(initial[0])
+    acc = initial[0].zero()
     for c, g in zip(row, initial):
         if c:
             acc = acc + scale(g, c)
@@ -384,13 +383,12 @@ def constancy_check(table: CoefficientTable, window) -> ConstancyResult:
     """Decide whether l consecutive values force the whole map constant.
 
     window holds the values at a, ..., a+l-1 for an arbitrary start a; the
-    start itself is irrelevant and not taken. A constant window certifies a
-    constant map provided the map really is a sum of maps with the table's
-    periods.
+    start itself is irrelevant and not taken, and its values must be of one
+    kind, as a map's are. A constant window certifies a constant map
+    provided the map really is a sum of maps with the table's periods.
     """
     window = tuple(window)
-    if len(window) != table.width:
-        raise ValueError(f"expected a window of {table.width} values, got {len(window)}")
+    _initial_kind(window, table.width, "window values")
     first = window[0]
     for v in window[1:]:
         if v != first:
@@ -401,14 +399,14 @@ def constancy_check(table: CoefficientTable, window) -> ConstancyResult:
 def finewilf_difference_gcd(g: PeriodicMap, h: PeriodicMap) -> int:
     """gcd of g - h over the two-period agreement window.
 
-    For integer-valued g and h with periods m and n, every difference
-    g(x) - h(x) anywhere on Z is divisible by the gcd of the differences
-    at 0, ..., l-1, for l = m + n - gcd(m, n) the spectrum size of (m, n).
-    A result of 0 means they all vanish and hence g and h are identical.
+    For int-valued g and h (of the kind "int", so no bool) with periods m
+    and n, every difference g(x) - h(x) anywhere on Z is divisible by the
+    gcd of the differences at 0, ..., l-1, for l = m + n - gcd(m, n) the
+    spectrum size of (m, n). A result of 0 means they all vanish and hence
+    g and h are identical.
     """
-    for pm in (g, h):
-        if not all(isinstance(v, int) for v in pm.values):
-            raise ValueError("integer-valued maps required")
+    if _initial_kind(g.values + h.values, g.period + h.period) != "int":
+        raise ValueError("integer-valued maps required")
     window = size_by_inclusion_exclusion(PeriodSystem((g.period, h.period)))
     return math.gcd(*(g(r) - h(r) for r in range(window)))
 

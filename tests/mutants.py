@@ -1,0 +1,116 @@
+"""Apply each committed mutant of persum to a copy of src/ and require that
+its tests catch it.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS names a file under src/, the exact text to replace,
+the text that replaces it, and the pytest arguments of the tests that must
+fail on it. The old text must occur exactly once in its file, so a change
+that moves or rewrites it must update the entry. Each selection is first
+run on an unmutated copy, where it must pass, since a selection that fails
+anyway would seem to kill every mutant. Then each mutant is applied to its
+own temporary copy of src/ and its selection runs with `pytest -x`,
+importing persum from that copy. The script prints one line per mutant and
+exits 1 if any old text is missing or repeated, any selection fails
+unmutated, or any mutant survives; 0 when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/, old text, new text, pytest arguments)
+MUTANTS = [
+    # _row's reduction by P's nonzero coefficients, with its sign flipped
+    ("persum/reconstruction.py",
+     "row[top + j] += c * a",
+     "row[top + j] -= c * a",
+     ["tests/test_reconstruction.py", "-k", "row or extrapolate"]),
+    # _row forgets that row r is row s reversed when s is not r
+    ("persum/reconstruction.py",
+     "return row if s == r else row[::-1]",
+     "return row",
+     ["tests/test_reconstruction.py", "-k", "row or extrapolate"]),
+    # table_walk encodes a recomputed cell with the wrong sign
+    ("persum/reconstruction.py",
+     "cells[j] = cell(c)",
+     "cells[j] = cell(-c)",
+     ["tests/test_cli.py", "-k", "coeffs"]),
+    # the value rule takes a bool as an int
+    ("persum/reconstruction.py",
+     "return isinstance(value, int) and not isinstance(value, bool)",
+     "return isinstance(value, int)",
+     ["tests/test_reconstruction.py", "-k", "no_one_group"]),
+    # a sum of tuple-valued maps concatenates its tuples instead of adding them
+    ("persum/reconstruction.py",
+     "        if type(acc) is tuple:\n"
+     "            return tuple(map(sum, zip(acc, *(comp(x) for comp in self.components[1:]))))\n",
+     "",
+     ["tests/test_properties.py", "-k", "tuple_valued_maps"]),
+    # check_size refuses a table of exactly DEFAULT_MAX_CELLS cells
+    ("persum/reconstruction.py",
+     "if factor * width > DEFAULT_MAX_CELLS:",
+     "if factor * width >= DEFAULT_MAX_CELLS:",
+     ["tests/test_reconstruction.py", "-k", "cap"]),
+]
+
+
+def copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def run_tests(src: Path, selection: list[str]) -> int:
+    """pytest's exit code for the selection, with persum imported from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = []
+    for path, old, new, selection in MUTANTS:
+        count = (ROOT / "src" / path).read_text().count(old)
+        if count != 1:
+            failures.append(f"{path}: the old text {old!r} occurs {count} times, not once")
+    if failures:
+        print("\n".join(failures))
+        return 1
+    selections = {tuple(selection) for *_, selection in MUTANTS}
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_src(Path(tmp))
+        for selection in sorted(selections):
+            code = run_tests(src, list(selection))
+            if code != 0:
+                failures.append(f"unmutated: {' '.join(selection)} exits {code}, not 0")
+    for path, old, new, selection in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(Path(tmp))
+            target = src / path
+            target.write_text(target.read_text().replace(old, new))
+            code = run_tests(src, selection)
+        # pytest exits 1 when a test failed; 0 is a survivor, and any other
+        # code (a collection error, no test selected) kills nothing
+        verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (exit {code})"
+        print(f"{verdict}: {path}: {old.strip()!r} -> {new.strip()!r}")
+        if code != 1:
+            failures.append(f"{path}: {old.strip()!r} -> {new.strip()!r}: {verdict}")
+    if failures:
+        print("\n".join(failures))
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -109,7 +109,7 @@ class Halves:
     (IntVector((1,)), IntVector((1, 2)), False),
     (IntVector((1,)), 1, False),
     (ModInt(0, 1), IntVector((0,)), False),
-    (True, 1, True),
+    (True, 1, "not an int"),
     (Halves(1), Halves(-3), True),
     (Halves(1), 1, False),
     (0, Halves(0), False),
@@ -118,9 +118,12 @@ class Halves:
 def test_same_realization(a, b, same):
     # two values share a group, and one map, exactly when their zeros are
     # equal: an int (zero 0) never matches a ModInt or an IntVector, and
-    # True counts as an int
-    if same:
+    # True is not an int, as check_int and extrapolate refuse it
+    if same is True:
         assert PeriodicMap((a, b)).values == (a, b)
+    elif same:
+        with pytest.raises(ValueError, match=same):
+            PeriodicMap((a, b))
     else:
         with pytest.raises(ValueError, match="^mixed group realizations$"):
             PeriodicMap((a, b))

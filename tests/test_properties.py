@@ -1,6 +1,7 @@
 """Property tests: the table, the single-row route and brute force agree on
 random sums in four groups, one of them a class defined here, and on ints
-and int tuples rebuilt coordinatewise, where the group route agrees too; the
+and int tuples rebuilt coordinatewise, where the group route agrees too; a
+sum of tuple-valued maps is its coordinates' int sums, and extrapolates; the
 marked multiplicity window agrees with per-position counting, the two
 parsers of outside input fail only with ValueError, the CLI takes an
 integer exactly when it is ASCII digits after an optional '-', strict_ints
@@ -156,6 +157,34 @@ def test_coordinate_path_matches_brute_force_and_the_group_path(ps, d, m, x, dat
         assert type(point) is tuple and point == point_sum(x)
         assert extrapolate(source, list(map(IntVector, initial_points)), x) == IntVector(point)
         assert extrapolate(source, [ModInt(v, m) for v in initial_ints], x) == ModInt(value, m)
+
+
+@settings(FIXED, max_examples=60)
+@given(
+    ps=st.lists(st.integers(1, 16), min_size=1, max_size=3).map(lambda p: PeriodSystem(tuple(p))),
+    d=st.integers(1, 4),
+    x=st.integers(-10**18, 10**18),
+    data=st.data(),
+)
+def test_a_sum_of_tuple_valued_maps_is_d_int_sums_and_extrapolates(ps, d, x, data):
+    # coordinate i of component s is its own int map columns[s][i]; the
+    # library's sum of the tuple-valued maps must be the d int sums taken
+    # by brute force, and extrapolate from the period system and from its
+    # table must rebuild it at x
+    table = table_for(ps)
+    entries = st.integers(-10**20, 10**20)
+    columns = [[data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(d)]
+               for n in ps.periods]
+    psi = SumOfPeriodicMaps(tuple(PeriodicMap(tuple(zip(*cols))) for cols in columns))
+
+    def brute(y):
+        return tuple(sum(cols[i][y % len(cols[i])] for cols in columns) for i in range(d))
+
+    for y in (*range(-table.modulus, table.modulus), x):
+        assert psi(y) == brute(y)
+    initial = [psi(r) for r in range(table.width)]
+    for source in (ps, table):
+        assert extrapolate(source, initial, x) == brute(x)
 
 
 residue_classes = st.builds(ResidueClass, st.integers(-10**6, 10**6), st.integers(1, 60))

@@ -475,6 +475,50 @@ def test_extrapolate_refuses_values_of_no_one_group_from_a_table_too(initial, me
         extrapolate(coefficient_table(PeriodSystem((2,))), initial, 5)
 
 
+@pytest.mark.parametrize("values, message", NOT_ONE_GROUP, ids=repr)
+def test_maps_sums_windows_and_finewilf_refuse_values_of_no_one_group(values, message):
+    # extrapolate's value rule holds at every entry point that takes values,
+    # with its ValueError, never an AttributeError or a TypeError. A sum of
+    # one-value maps meets a bad value in a map or in the sum's own check;
+    # finewilf classifies too, so a map made without its constructor's check
+    # is refused there as well
+    table = coefficient_table(PeriodSystem((2,)))
+    forged = PeriodicMap.__new__(PeriodicMap)
+    object.__setattr__(forged, "values", tuple(values))
+    checks = [
+        lambda: PeriodicMap(values),
+        lambda: SumOfPeriodicMaps(tuple(PeriodicMap((v,)) for v in values)),
+        lambda: constancy_check(table, values),
+        lambda: finewilf_difference_gcd(PeriodicMap(values), PeriodicMap((0,))),
+        lambda: finewilf_difference_gcd(forged, forged),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check()
+
+
+def test_finewilf_refuses_tuple_and_group_valued_maps():
+    for values in (((1, 2), (3, 4)), (IntVector((1,)),)):
+        with pytest.raises(ValueError, match="^integer-valued maps required$"):
+            finewilf_difference_gcd(PeriodicMap(values), PeriodicMap(values))
+
+
+def test_extrapolate_refuses_an_x_that_is_not_an_int_before_any_work(monkeypatch):
+    # x is refused with ValueError before N, l or the initial values are
+    # looked at, from either source: a float would fail with TypeError in
+    # the row or at the table's index, and True would be read as 1
+    def refuse(*args):
+        raise AssertionError("computed past the check of x")
+
+    table = coefficient_table(PeriodSystem((2, 3)))
+    for name in ("size_by_inclusion_exclusion", "characteristic_poly", "_row"):
+        monkeypatch.setattr(persum.reconstruction, name, refuse)
+    for x in (1.5, 2.0, True, "3", None):
+        for source in (PeriodSystem((2, 3)), table):
+            with pytest.raises(ValueError, match=f"^x must be an integer, got {re.escape(repr(x))}$"):
+                extrapolate(source, [1], x)
+
+
 def test_extrapolate_takes_int_subclasses_as_ints():
     class Count(int):
         pass
