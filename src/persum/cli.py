@@ -19,6 +19,9 @@ The grammar is one table, `_COMMANDS`. `main` reads a valid command line
 from it with `_read`, which imports no argparse, gettext or locale. Help,
 every error, and any line `_read` leaves alone go to argparse, built from
 the same table by `build_parser`, which prints and exits as it always has.
+Both read values by one rule on every subcommand: a token of '-' then a
+digit is a value, never an option, so -1,2, '-1 mod 6' and -1.json read
+as given.
 Exit codes: 0 success, 2 usage or parse error, 3 a table, spectrum or single
 row over its cap (`reconstruction`), refused before any other work.
 """
@@ -87,27 +90,15 @@ def positive_int(text: str) -> int:
     return value
 
 
-class _SignedValueMatcher:
-    """Stands in for argparse's negative-number pattern on `extrapolate`.
-
-    argparse reads a token that starts with '-' as a value only when the
-    pattern matches it, and its own pattern takes plain numbers alone, so
-    a --vec value such as -4,12,-18 would read as an unknown option. This
-    takes every token with a digit after the '-'; a malformed one is then
-    refused by the value parser, still with exit 2. `_read` holds values
-    to the same rule, with an ASCII digit.
-    """
-
-    @staticmethod
-    def match(token: str) -> bool:
-        return token[1:2].isdecimal()
-
-
 def build_parser():
     """The argparse parser of all six subcommands, built from `_COMMANDS`.
     `main` runs it only on argv that `_read` leaves to it: help, errors and
-    readings only argparse settles."""
+    readings only argparse settles. argparse's own pattern for a value that
+    starts with '-' takes plain numbers alone; each subparser's takes '-'
+    then a decimal digit, as `_is_value` does, and leaves the rest of the
+    token to the argument's type."""
     import argparse
+    import re
 
     parser = argparse.ArgumentParser(
         prog="persum",
@@ -115,25 +106,21 @@ def build_parser():
         "for sums of periodic maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, signed, group, arguments) in _COMMANDS.items():
+    for name, (help_text, handler, group, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = re.compile(r"-\d")
         exclusive = p.add_mutually_exclusive_group() if group else None
         for flag, spec in arguments:
             (exclusive if flag in group else p).add_argument(flag, **spec)
-        if signed:
-            p._negative_number_matcher = _SignedValueMatcher
         p.set_defaults(func=handler)
     return parser
 
 
-def _is_value(token: str, signed: bool) -> bool:
+def _is_value(token: str) -> bool:
     """Whether argparse surely reads token as a value: it does not start
-    with '-', or is '-' alone, or is '-' then ASCII digits (on a signed
-    command, '-' then one ASCII digit and anything)."""
-    if token[:1] != "-" or token == "-":
-        return True
-    digits = token[1:2] if signed else token[1:]
-    return digits.isdigit() and digits.isascii()
+    with '-', or is '-' alone, or is '-' then an ASCII digit and anything.
+    ('' is in every string, so '-' alone passes the second test.)"""
+    return token[:1] != "-" or token[1:2] in "0123456789"
 
 
 # how many value tokens an argument takes, least and most, by its nargs
@@ -145,20 +132,20 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     `_COMMANDS` without argparse, or None unless argv is plainly valid: the
     command, then its exact option strings, each once and with the values
     its nargs takes, and at most one run of positional values. Every integer
-    passes `strict_int` (and is positive where the argument says so), every
+    passes `strict_ints` (and is positive where the argument says so), every
     required argument is there, and at most one flag of the exclusive group.
     argparse answers the rest: help, errors, and the readings (abbreviations,
     --opt=value, --, repeats) this leaves to it."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, handler, signed, group, arguments = _COMMANDS[argv[0]]
+    _, handler, group, arguments = _COMMANDS[argv[0]]
     specs = dict(arguments)
     positional = next((name for name, _ in arguments if name[0] != "-"), None)
     given: dict[str, list[str]] = {}  # flag or positional -> its value tokens
     i = 1
     while i < len(argv):
         name = argv[i]
-        if _is_value(name, signed):
+        if _is_value(name):
             name = positional
         else:
             i += 1
@@ -167,7 +154,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         spec = specs[name]
         least, most = _COUNTS[spec.get("action", spec.get("nargs"))]
         run = i
-        while run < len(argv) and run - i < most and _is_value(argv[run], signed):
+        while run < len(argv) and run - i < most and _is_value(argv[run]):
             run += 1
         if run - i < least:
             return None
@@ -186,7 +173,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         else:
             if "type" in spec:
                 try:
-                    tokens = [strict_int(token) for token in tokens]
+                    tokens = strict_ints(tokens)
                 except ValueError:
                     return None
                 if spec["type"] is positive_int and min(tokens) < 1:
@@ -373,21 +360,18 @@ _PERIODS = ("periods", {"nargs": "+", "type": positive_int, "metavar": "PERIOD"}
 _DECLARED = {"type": positive_int, "help": "declared period (default: count)"}
 
 # The grammar, one entry per command in the order `persum --help` lists them:
-# its help and handler; whether a value may be '-', a digit and anything (the
-# --vec tokens of extrapolate, see `_SignedValueMatcher`); its mutually
-# exclusive flags; and its arguments, each a flag or the positional's dest
-# with argparse's keywords for it. An option's dest is argparse's, from its
-# flag, unless given. `build_parser` hands the keywords to argparse, and
-# `_read` reads valid argv by them without it.
+# its help and handler; its mutually exclusive flags; and its arguments, each
+# a flag or the positional's dest with argparse's keywords for it. An option's
+# dest is argparse's, from its flag, unless given. `build_parser` hands the
+# keywords to argparse, and `_read` reads valid argv by them without it.
 _COMMANDS = {
-    "spectrum": ("enumerate a period list's spectrum and its size", cmd_spectrum, False, (), (_PERIODS,)),
-    "charpoly": ("characteristic polynomial of the spectrum", cmd_charpoly, False, (), (_PERIODS,)),
-    "coeffs": ("emit the full reconstruction coefficient table", cmd_coeffs, False, (), (
+    "spectrum": ("enumerate a period list's spectrum and its size", cmd_spectrum, (), (_PERIODS,)),
+    "charpoly": ("characteristic polynomial of the spectrum", cmd_charpoly, (), (_PERIODS,)),
+    "coeffs": ("emit the full reconstruction coefficient table", cmd_coeffs, (), (
         _PERIODS,
         ("--out", {"metavar": "PATH", "help": "write the JSON document here instead of stdout"}),
     )),
-    "extrapolate": ("reconstruct a value from initial values", cmd_extrapolate,
-                    True, ("--int", "--mod", "--vec"), (
+    "extrapolate": ("reconstruct a value from initial values", cmd_extrapolate, ("--int", "--mod", "--vec"), (
         ("--periods", {"nargs": "+", "type": positive_int, "required": True, "metavar": "PERIOD"}),
         ("--initial", {"nargs": "+", "required": True, "metavar": "VALUE", "help":
                        "the map's values at 0..l-1; with --vec each value is d comma-separated ints"}),
@@ -397,7 +381,7 @@ _COMMANDS = {
         ("--mod", {"type": positive_int, "metavar": "M", "help": "integers mod M"}),
         ("--vec", {"type": positive_int, "metavar": "D", "help": "integer vectors of dimension D"}),
     )),
-    "cover": ("covering-multiplicity window checks", cmd_cover, False, (), (
+    "cover": ("covering-multiplicity window checks", cmd_cover, (), (
         ("source", {"nargs": "?", "help": "residue system file, or - for stdin"}),
         ("--classes", {"nargs": "+", "metavar": "'A mod N'",
                        "help": "inline residue classes instead of a file"}),
@@ -408,7 +392,7 @@ _COMMANDS = {
         ("--gcd-window", {"nargs": 2, "type": integer, "metavar": ("A", "B"),
                           "help": "gcd of multiplicity(A+r)+B over the window"}),
     )),
-    "finewilf": ("difference gcd of two integer periodic maps", cmd_finewilf, False, (), (
+    "finewilf": ("difference gcd of two integer periodic maps", cmd_finewilf, (), (
         ("--first", {"nargs": "+", "type": integer, "required": True, "metavar": "V"}),
         ("--second", {"nargs": "+", "type": integer, "required": True, "metavar": "V"}),
         ("--first-period", _DECLARED),

@@ -18,7 +18,6 @@ and both verdicts (all_in_class, window_gcd) are taken over those.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Iterable
@@ -198,6 +197,8 @@ def parse_residue_system(text: str) -> ResidueSystem:
 
 
 def _parse_json_system(text: str) -> ResidueSystem:
+    import json  # here alone, so `import persum` loads no json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep

@@ -90,6 +90,8 @@ class PeriodicMap(Record):
         return len(self.values)
 
     def __call__(self, x: int):
+        if type(x) is not int:  # one C test for an int; check_int takes a subclass
+            check_int(x, "x")
         return self.values[x % len(self.values)]
 
 
@@ -152,6 +154,8 @@ class CoefficientTable(Record, compare=("recurrence", "rows")):
 
     def row_for(self, x: int) -> tuple[int, ...]:
         """The row at the least nonnegative residue of x mod N."""
+        if type(x) is not int:
+            check_int(x, "x")
         return self.rows[x % len(self.rows)]
 
 

@@ -59,6 +59,37 @@ MUTANTS = [
      "if factor * width > DEFAULT_MAX_CELLS:",
      "if factor * width >= DEFAULT_MAX_CELLS:",
      ["tests/test_reconstruction.py", "-k", "cap"]),
+    # a map takes any x that its values' tuple can be indexed by, a bool included
+    ("persum/reconstruction.py",
+     "        if type(x) is not int:  # one C test for an int; check_int takes a subclass\n"
+     "            check_int(x, \"x\")\n",
+     "",
+     ["tests/test_reconstruction.py", "-k", "x_that"]),
+    # the Kronecker digit one byte short, so the bound no longer fits in half a digit
+    ("persum/cyclotomic.py",
+     "width = bound.bit_length() // 8 + 1",
+     "width = bound.bit_length() // 8",
+     ["tests/test_cyclotomic.py", "-k", "kronecker"]),
+    # the grammar reader takes '-' then digits alone as a value, as argparse's default does
+    ("persum/cli.py",
+     'return token[:1] != "-" or token[1:2] in "0123456789"',
+     'return token == "-" or token[1:].isdigit() and token[1:].isascii()',
+     ["tests/test_cli.py", "-k", "dash"]),
+    # argparse keeps its default pattern for a value, which takes plain numbers alone
+    ("persum/cli.py",
+     '        p._negative_number_matcher = re.compile(r"-\\d")\n',
+     "",
+     ["tests/test_cli.py", "-k", "dash"]),
+    # a stdout that fails to take the document, other than a closed pipe, ends in a traceback
+    ("persum/cli.py",
+     "    except OSError as exc:\n        # exit 2",
+     "    except BrokenPipeError as exc:\n        # exit 2",
+     ["tests/test_cli.py", "-k", "full_stdout"]),
+    # a walk of no rows is written as its closing bracket alone
+    ("persum/cli.py",
+     'emit("[]" if sep[0] == "[" else indent + "]")',
+     'emit(indent + "]")',
+     ["tests/test_properties.py", "-k", "empty_row_generator"]),
 ]
 
 

@@ -577,6 +577,40 @@ def test_one_command_parser_reads_what_the_full_parser_reads(site):
     assert vars(one) == vars(persum.cli.build_parser().parse_args(argv))
 
 
+VEC_REQUEST = ["extrapolate", "--periods", "2", "--initial", "-4,12", "3,-4", "--at", "-5", "--vec", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--classes", "-1 mod 6", "0 mod 2", "--odd"],
+    VEC_REQUEST,
+], ids=" ".join)
+def test_every_command_reads_a_dash_and_a_digit_as_a_value_without_argparse(argv):
+    read = persum.cli._read(argv)
+    assert read is not None
+    assert vars(read) == vars(persum.cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [arg.replace("--periods", "--per") for arg in VEC_REQUEST],
+    [*VEC_REQUEST[:6], "--at=-5", *VEC_REQUEST[8:]],
+], ids=" ".join)
+def test_argparse_reads_a_dash_and_a_digit_as_a_value_as_the_grammar_reader_does(capsys, argv):
+    # an abbreviation or --opt=value is left to argparse, whose pattern for a
+    # value is '-' then a digit too
+    assert persum.cli._read(argv) is None
+    assert run(capsys, *argv) == run(capsys, *VEC_REQUEST)
+
+
+def test_a_dash_and_a_digit_is_a_malformed_value_not_an_unknown_option(capsys, tmp_path, monkeypatch):
+    code, out, err = run(capsys, "spectrum", "2", "-5x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument PERIOD: expected an integer, got '-5x'\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "cover", "-5x") == (2, "", "error: [Errno 2] No such file or directory: '-5x'\n")
+    assert run(capsys, "coeffs", "2", "3", "--out", "-1.json") == (0, "", "")
+    assert json.loads((tmp_path / "-1.json").read_text())["N"] == "6"
+
+
 def test_main_builds_no_subparser_for_a_request_and_all_six_otherwise(capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser

@@ -386,7 +386,7 @@ PARSER = build_parser()
 @example(argv=["cover", "-", "--odd", "--check", "3", "-1"])
 @example(argv=["cover", "--odd", "src"])
 @example(argv=["coeffs", "--out", "t.json", "2", "3"])
-@example(argv=["coeffs", "2", "--out", "-1,2"])  # '-' then a digit is a value on extrapolate alone
+@example(argv=["coeffs", "2", "--out", "-1,2"])  # '-' then a digit is a value on every command
 @example(argv=["cover", "--classes", "-\u00b2"])  # a digit, not a decimal digit
 @example(argv=["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--mod", "2", "--vec", "2"])
 @example(argv=["extrapolate", "--periods", "2", "--initial", "1", "2", "--at", "3", "--int", "--mod", "2"])

@@ -59,6 +59,26 @@ def test_periodic_map_wraps_both_directions():
     assert g(-3) == 10
 
 
+@pytest.mark.parametrize("x", [True, 1.5, "3"], ids=repr)
+def test_maps_sums_and_table_rows_refuse_an_x_that_is_no_int(x):
+    g = PeriodicMap((10, 20, 30))
+    lookups = [g, SumOfPeriodicMaps((g, PeriodicMap((1, 2)))), coefficient_table(PeriodSystem((2, 3))).row_for]
+    for lookup in lookups:
+        with pytest.raises(ValueError, match="x must be an integer"):
+            lookup(x)
+
+
+def test_maps_sums_and_table_rows_take_an_int_subclass():
+    class Int(int):
+        pass
+
+    g = PeriodicMap((10, 20, 30))
+    assert g(Int(4)) == 20
+    assert SumOfPeriodicMaps((g, PeriodicMap((1, 2))))(Int(4)) == 21
+    table = coefficient_table(PeriodSystem((2, 3)))
+    assert table.row_for(Int(4)) == table.row_for(4)
+
+
 def test_periodic_map_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
         PeriodicMap(())

@@ -136,3 +136,23 @@ def test_importing_the_cli_loads_no_dataclasses():
     added = proc.stdout
     assert "'persum.cli'" in added
     assert "'dataclasses'" not in added
+
+
+def test_importing_persum_loads_no_json_until_a_json_system_is_parsed():
+    # json is imported where a JSON residue system is read, and nowhere else
+    # that `import persum` reaches
+    env = dict(os.environ, PYTHONPATH=str(Path(persum.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import persum\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "persum.parse_residue_system('[[0, 2]]')\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, parsed = proc.stdout.splitlines()
+    assert "'persum.covering'" in imported
+    assert "'json'" not in imported
+    assert "'json'" in parsed
