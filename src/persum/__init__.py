@@ -9,95 +9,52 @@ integer. On top of those it offers a strengthened two-period agreement
 test and window checks for covering systems of residue classes.
 
 All arithmetic is exact; no floating point anywhere.
-"""
 
-from .covering import (
-    ResidueClass,
-    ResidueSystem,
-    WindowClassResult,
-    gcd_window,
-    maximal_moduli_distinct,
-    multiplicity,
-    multiplicity_window,
-    odd_cover_check,
-    parse_residue_system,
-    window_class_check,
-)
-from .cyclotomic import (
-    IntPolynomial,
-    characteristic_poly,
-    cyclotomic_poly,
-    poly_powmod,
-    x_power_minus_one,
-)
-from .groups import IntVector, ModInt, scale, zero_like
-from .numth import divisors, euler_phi, lcm_all
-from .reconstruction import (
-    CoefficientTable,
-    ConstancyResult,
-    PeriodicMap,
-    SumOfPeriodicMaps,
-    TableSizeError,
-    coefficient_table,
-    constancy_check,
-    extrapolate,
-    finewilf_difference_gcd,
-    recurrence_coeffs,
-    table_from_json_dict,
-    table_to_json_dict,
-)
-from .spectrum import (
-    PeriodSystem,
-    Spectrum,
-    build_spectrum,
-    fraction_str,
-    parse_fraction,
-    size_by_inclusion_exclusion,
-    size_by_phi,
-)
+`import persum` loads no submodule: each public name below imports its home
+module on first use (PEP 562), so a caller pays only for what it reads.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientTable",
-    "ConstancyResult",
-    "IntPolynomial",
-    "IntVector",
-    "ModInt",
-    "PeriodSystem",
-    "PeriodicMap",
-    "ResidueClass",
-    "ResidueSystem",
-    "Spectrum",
-    "SumOfPeriodicMaps",
-    "TableSizeError",
-    "WindowClassResult",
-    "build_spectrum",
-    "characteristic_poly",
-    "coefficient_table",
-    "constancy_check",
-    "cyclotomic_poly",
-    "divisors",
-    "euler_phi",
-    "extrapolate",
-    "finewilf_difference_gcd",
-    "fraction_str",
-    "gcd_window",
-    "lcm_all",
-    "maximal_moduli_distinct",
-    "multiplicity",
-    "multiplicity_window",
-    "odd_cover_check",
-    "parse_fraction",
-    "parse_residue_system",
-    "poly_powmod",
-    "recurrence_coeffs",
-    "scale",
-    "size_by_inclusion_exclusion",
-    "size_by_phi",
-    "table_from_json_dict",
-    "table_to_json_dict",
-    "window_class_check",
-    "x_power_minus_one",
-    "zero_like",
-]
+# each public name, under the submodule that defines it
+_HOMES = {
+    "covering": (
+        "ResidueClass", "ResidueSystem", "WindowClassResult", "gcd_window",
+        "maximal_moduli_distinct", "multiplicity", "multiplicity_window",
+        "odd_cover_check", "parse_residue_system", "window_class_check",
+    ),
+    "cyclotomic": (
+        "IntPolynomial", "characteristic_poly", "cyclotomic_poly", "poly_powmod",
+        "x_power_minus_one",
+    ),
+    "groups": ("IntVector", "ModInt", "scale", "zero_like"),
+    "numth": ("divisors", "euler_phi", "lcm_all"),
+    "reconstruction": (
+        "CoefficientTable", "ConstancyResult", "PeriodicMap", "SumOfPeriodicMaps",
+        "TableSizeError", "coefficient_table", "constancy_check", "extrapolate",
+        "finewilf_difference_gcd", "recurrence_coeffs", "table_from_json_dict",
+        "table_to_json_dict",
+    ),
+    "spectrum": (
+        "PeriodSystem", "Spectrum", "build_spectrum", "fraction_str", "parse_fraction",
+        "size_by_inclusion_exclusion", "size_by_phi",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, from its home module, kept here once it is read."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -34,7 +34,6 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from types import GeneratorType, SimpleNamespace
 
 from .covering import (
@@ -288,7 +287,8 @@ def _load_system(args):
     elif args.source == "-":
         text = sys.stdin.read()
     elif args.source:
-        text = Path(args.source).read_text()
+        with open(args.source) as fh:
+            text = fh.read()
     else:
         raise ValueError("no residue system given (file path, -, or --classes)")
     return parse_residue_system(text)

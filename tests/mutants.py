@@ -43,6 +43,17 @@ MUTANTS = [
      "cells[j] = cell(c)",
      "cells[j] = cell(-c)",
      ["tests/test_cli.py", "-k", "coeffs"]),
+    # table_walk leaves the cell at position 0 blank, though P(0) = -1 makes
+    # it nonzero wherever a row's top entry is
+    ("persum/reconstruction.py",
+     "cells[j] = cell(c)",
+     "if j: cells[j] = cell(c)",
+     ["tests/test_cli.py", "-k", "coeffs"]),
+    # _row squares for s >= l, not s >= 2l, so a row below 2l takes a product
+    ("persum/reconstruction.py",
+     "while s >> bits >= 2 * width:",
+     "while s >> bits >= width:",
+     ["tests/test_reconstruction.py", "-k", "row_below_2l"]),
     # the value rule takes a bool as an int
     ("persum/reconstruction.py",
      "return isinstance(value, int) and not isinstance(value, bool)",
@@ -90,6 +101,11 @@ MUTANTS = [
      'emit("[]" if sep[0] == "[" else indent + "]")',
      'emit(indent + "]")',
      ["tests/test_properties.py", "-k", "empty_row_generator"]),
+    # the package root reads an unknown name as None
+    ("persum/__init__.py",
+     'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+     "return None",
+     ["tests/test_package.py", "-k", "no_such_name"]),
 ]
 
 
