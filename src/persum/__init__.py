@@ -23,10 +23,7 @@ _HOMES = {
         "maximal_moduli_distinct", "multiplicity", "multiplicity_window",
         "odd_cover_check", "parse_residue_system", "window_class_check",
     ),
-    "cyclotomic": (
-        "IntPolynomial", "characteristic_poly", "cyclotomic_poly", "poly_powmod",
-        "x_power_minus_one",
-    ),
+    "cyclotomic": ("IntPolynomial", "characteristic_poly", "cyclotomic_poly"),
     "groups": ("IntVector", "ModInt", "scale", "zero_like"),
     "numth": ("divisors", "euler_phi", "lcm_all"),
     "reconstruction": (

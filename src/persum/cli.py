@@ -401,13 +401,6 @@ _COMMANDS = {
 }
 
 
-def _dumps(doc) -> str:
-    """The text of `json.dumps(doc, indent=2)` as `_write` writes it, in one string."""
-    parts: list[str] = []
-    _write(doc, "\n", parts.append)
-    return "".join(parts)
-
-
 class _QuotedCell(dict):
     """The JSON token of a table cell, its quoted decimal string, made once
     per distinct value: a table holds few. Every cell that `table_walk`

@@ -1,11 +1,10 @@
 """Exact integer-coefficient polynomials and cyclotomic factor products.
 
-Coefficients are stored in ascending degree order (constant term first).
-All arithmetic stays in arbitrary-precision ints, and division is only
-offered against divisors with a unit leading coefficient. Cyclotomic and
+Coefficients are stored in ascending degree order (constant term first),
+and all arithmetic stays in arbitrary-precision ints. Cyclotomic and
 characteristic polynomials are both formed as products of binomials
-(x^g - 1)^e_g, one O(degree) pass per factor. Every other product,
-`IntPolynomial *` and the squarings of `reconstruction._row`, is the one
+(x^g - 1)^e_g, one O(degree) pass per factor. The one product of two
+polynomials, with which `reconstruction._row` squares its row, is the
 Kronecker substitution `_kronecker_mul`: one big-int multiplication.
 
 >>> cyclotomic_poly(6)
@@ -40,48 +39,8 @@ class IntPolynomial(Record):
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():  # _kronecker_mul needs both nonzero
-            return IntPolynomial()
-        return IntPolynomial(_kronecker_mul(self.coeffs, other.coeffs))
-
-    def divmod_exact(self, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        """Quotient and remainder against q, staying inside Z[x].
-
-        q must be nonzero with leading coefficient 1 or -1; then
-        self == q * quot + rem with deg rem < deg q holds exactly.
-        """
-        if q.is_zero() or q.coeffs[-1] not in (1, -1):
-            raise ValueError(
-                "inexact division: divisor must be nonzero with leading "
-                "coefficient 1 or -1"
-            )
-        lead = q.coeffs[-1]
-        qlen = len(q.coeffs)
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - qlen + 1, 0)
-        for i in range(len(rem) - 1, qlen - 2, -1):
-            c = rem[i]
-            if not c:
-                continue
-            c *= lead
-            shift = i - (qlen - 1)
-            quot[shift] = c
-            for j in range(qlen):
-                rem[shift + j] -= c * q.coeffs[j]
-        return IntPolynomial(quot), IntPolynomial(rem[: qlen - 1])
-
-
-ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
 
 
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -107,12 +66,6 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     digits = product.to_bytes(n * width, "little")
     return [int.from_bytes(digits[i:i + width], "little") - half
             for i in range(0, n * width, width)]
-
-
-def x_power_minus_one(n: int) -> IntPolynomial:
-    """x^n - 1."""
-    check_positive(n, "n")
-    return IntPolynomial([-1] + [0] * (n - 1) + [1])
 
 
 def _binomial_product(exps: dict[int, int]) -> IntPolynomial:
@@ -155,22 +108,3 @@ def characteristic_poly(ps: PeriodSystem) -> IntPolynomial:
     """
     return _binomial_product(gcd_exponents(ps.periods))
 
-
-def poly_powmod(base: IntPolynomial, exponent: int, modulus: IntPolynomial) -> IntPolynomial:
-    """base**exponent reduced mod modulus, powered left to right.
-
-    Each bit of the exponent, from the top, squares the result and, when
-    set, multiplies it by the reduced base: with base X, one shift and one
-    O(degree) reduction step. modulus must satisfy the divmod_exact
-    precondition (unit leading coefficient). Used to check divisibility of
-    x^N - 1 at values of N far beyond what a dense remainder could handle.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    base = base.divmod_exact(modulus)[1]
-    result = ONE.divmod_exact(modulus)[1]
-    for i in reversed(range(exponent.bit_length())):
-        result = (result * result).divmod_exact(modulus)[1]
-        if exponent >> i & 1:
-            result = (result * base).divmod_exact(modulus)[1]
-    return result

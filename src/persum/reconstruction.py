@@ -204,7 +204,8 @@ def check_size(ps: PeriodSystem, rows: int | None = None) -> None:
     cap = f" exceed the cap of {DEFAULT_MAX_CELLS}"
     least = max(ps.periods)
     if factor * least > DEFAULT_MAX_CELLS:
-        raise TableSizeError(what.format(_count(least)) + " or more" + cap)
+        hedge = "" if least > 2**64 else " or more"  # above 2^64, _count says "at least"
+        raise TableSizeError(what.format(_count(least)) + hedge + cap)
     if factor * sum(ps.periods) > DEFAULT_MAX_CELLS:
         width = size_by_inclusion_exclusion(ps)
         if factor * width > DEFAULT_MAX_CELLS:

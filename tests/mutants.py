@@ -81,6 +81,11 @@ MUTANTS = [
      "width = bound.bit_length() // 8 + 1",
      "width = bound.bit_length() // 8",
      ["tests/test_cyclotomic.py", "-k", "kronecker"]),
+    # each division by x^g - 1 skips its first quotient coefficient past g - 1
+    ("persum/cyclotomic.py",
+     "for i in range(g, len(p)):",
+     "for i in range(g + 1, len(p)):",
+     ["tests/test_acceptance.py", "-k", "criterion_02"]),
     # the grammar reader takes '-' then digits alone as a value, as argparse's default does
     ("persum/cli.py",
      'return token[:1] != "-" or token[1:2] in "0123456789"',

@@ -10,9 +10,10 @@ import math
 import random
 
 from conftest import criterion
+from poly_oracle import divmod_exact, schoolbook_mul, x_powmod
 
 from persum.cli import main
-from persum.cyclotomic import ONE, X, characteristic_poly, poly_powmod, x_power_minus_one
+from persum.cyclotomic import characteristic_poly
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
     PeriodicMap,
@@ -76,12 +77,13 @@ def test_criterion_02_characteristic_polynomial():
             assert p.is_monic()
             assert p.degree == len(sp)
             # (x^N - 1) mod p == 0, via modular exponentiation
-            assert poly_powmod(X, ps.modulus, p) == ONE
+            assert x_powmod(ps.modulus, p.coeffs) == [1]
             # second route on small moduli: direct long division
             if ps.modulus <= 1000:
-                quot, rem = x_power_minus_one(ps.modulus).divmod_exact(p)
-                assert rem.is_zero()
-                assert quot * p == x_power_minus_one(ps.modulus)
+                x_n_minus_1 = [-1] + [0] * (ps.modulus - 1) + [1]
+                quot, rem = divmod_exact(x_n_minus_1, p.coeffs)
+                assert rem == []
+                assert schoolbook_mul(quot, p.coeffs) == x_n_minus_1
                 direct_checked += 1
         assert direct_checked > 100
 

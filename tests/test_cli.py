@@ -453,6 +453,25 @@ def test_every_subcommand_refuses_a_huge_period_before_any_work(capsys, monkeypa
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+ABOVE_2_64 = str(10**23 + 3)  # between 2^76 and 2^77
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", ABOVE_2_64], "spectrum too large: at least 2^76 elements exceed the cap of 50000000"),
+    (["charpoly", ABOVE_2_64], "spectrum too large: at least 2^76 elements exceed the cap of 50000000"),
+    (["cover", "--classes", f"0 mod {ABOVE_2_64}"],
+     "spectrum too large: at least 2^76 elements exceed the cap of 50000000"),
+    (["coeffs", ABOVE_2_64],
+     "table too large: at least 2^76 rows of at least 2^76 cells exceed the cap of 50000000"),
+    (["extrapolate", "--periods", ABOVE_2_64, "--initial", "1", "--at", "0"],
+     "row too large: the single row is one of N = at least 2^76 rows, which exceed the cap of 1000000"),
+], ids=["spectrum", "charpoly", "cover", "coeffs", "extrapolate"])
+def test_a_period_above_2_64_is_refused_with_its_bound_said_once(capsys, argv, message):
+    # a period only bounds the spectrum from below, and above 2^64 its bit
+    # count already says "at least": the message hedges once
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 def test_extrapolate_wrong_count(capsys):
     code, _, err = run(
         capsys, "extrapolate", "--periods", "2", "3", "--initial", "1", "0", "--at", "0"

@@ -44,7 +44,6 @@ HOMES = {
     "odd_cover_check": "covering",
     "parse_fraction": "spectrum",
     "parse_residue_system": "covering",
-    "poly_powmod": "cyclotomic",
     "recurrence_coeffs": "reconstruction",
     "scale": "groups",
     "size_by_inclusion_exclusion": "spectrum",
@@ -52,13 +51,12 @@ HOMES = {
     "table_from_json_dict": "reconstruction",
     "table_to_json_dict": "reconstruction",
     "window_class_check": "covering",
-    "x_power_minus_one": "cyclotomic",
     "zero_like": "groups",
 }
 
 
-def test_all_holds_the_41_public_names():
-    assert len(HOMES) == 41
+def test_all_holds_the_39_public_names():
+    assert len(HOMES) == 39
     assert persum.__all__ == sorted(HOMES)
 
 

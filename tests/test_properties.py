@@ -29,7 +29,7 @@ from conftest import assert_same_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persum.cli import _COMMANDS, _dumps, _QuotedCell, _read, build_parser, main
+from persum.cli import _COMMANDS, _QuotedCell, _read, _write, build_parser, main
 from persum.covering import (
     ResidueClass,
     ResidueSystem,
@@ -54,6 +54,13 @@ from persum.spectrum import PeriodSystem
 FIXED = settings(derandomize=True, deadline=None, database=None)
 
 periods = st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple)
+
+
+def dumps(doc) -> str:
+    """The text of `json.dumps(doc, indent=2)` as `_write` writes it, in one string."""
+    parts: list[str] = []
+    _write(doc, "\n", parts.append)
+    return "".join(parts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,7 +442,7 @@ json_trees = st.recursive(
 @example(tree=[["1"], "2"])
 @example(tree=[[""], [""]])
 def test_cli_writer_matches_json_dumps_indent_2(tree):
-    assert_same_text(_dumps(tree), json.dumps(tree, indent=2))
+    assert_same_text(dumps(tree), json.dumps(tree, indent=2))
 
 
 @pytest.mark.parametrize(
@@ -447,7 +454,7 @@ def test_cli_writer_matches_json_dumps_indent_2(tree):
 def test_cli_writer_refuses_a_non_string_scalar(tree):
     # a tuple of int tuples is no table's rows: only a generator of token rows is
     with pytest.raises(TypeError):
-        _dumps(tree)
+        dumps(tree)
 
 
 @settings(FIXED, max_examples=500)
@@ -475,7 +482,7 @@ def small_systems(draw):
 def test_cli_writer_matches_json_dumps_indent_2_on_table_rows(value):
     if not isinstance(value, PeriodSystem):
         with pytest.raises(TypeError):
-            _dumps(value)
+            dumps(value)
         return
     rows = [[str(cell) for cell in row] for row in coefficient_table(value).rows]
     recurrence = table_recurrence(value)
@@ -484,7 +491,7 @@ def test_cli_writer_matches_json_dumps_indent_2_on_table_rows(value):
         return table_walk(recurrence, value.modulus, _QuotedCell().__getitem__)
 
     for doc, expect in ((streamed(), rows), ({"N": "1", "rows": streamed()}, {"N": "1", "rows": rows})):
-        assert_same_text(_dumps(doc), json.dumps(expect, indent=2))
+        assert_same_text(dumps(doc), json.dumps(expect, indent=2))
 
 
 def test_cli_writer_writes_an_empty_row_generator_as_an_empty_list():
@@ -492,7 +499,7 @@ def test_cli_writer_writes_an_empty_row_generator_as_an_empty_list():
         return table_walk((1,), 0, _QuotedCell().__getitem__)
 
     for doc, expect in ((empty(), []), ({"N": "1", "rows": empty()}, {"N": "1", "rows": []})):
-        assert _dumps(doc) == json.dumps(expect, indent=2)
+        assert dumps(doc) == json.dumps(expect, indent=2)
 
 
 def test_assert_same_text_names_the_first_difference():

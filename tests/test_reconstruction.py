@@ -9,11 +9,12 @@ import re
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from poly_oracle import schoolbook_mul, x_powmod
 
 import persum.cyclotomic
 import persum.reconstruction
 import persum.spectrum
-from persum.cyclotomic import X, IntPolynomial, characteristic_poly, cyclotomic_poly, poly_powmod
+from persum.cyclotomic import IntPolynomial, characteristic_poly, cyclotomic_poly
 from persum.groups import IntVector, ModInt
 from persum.reconstruction import (
     CoefficientTable,
@@ -224,7 +225,7 @@ def test_walked_rows_match_poly_powmod(periods, nonzero):
     # dense P (193 of l = 197 and 397 of 409 lower coefficients nonzero) and
     # sparse P (23 of 192 and 53 of 870), where a row differs from the shift
     # of the row before only under P's nonzero coefficients; both walks,
-    # ints and cells, against the generic powering at random n
+    # ints and cells, against the oracle's powering at random n
     ps = PeriodSystem(periods)
     charpoly = characteristic_poly(ps)
     assert sum(1 for c in charpoly.coeffs[:-1] if c) == nonzero
@@ -235,8 +236,8 @@ def test_walked_rows_match_poly_powmod(periods, nonzero):
     walks = table_walk(recurrence, n_rows), table_walk(recurrence, n_rows, str)
     for n, (row, text) in enumerate(zip(*walks)):
         if n in picks:
-            coeffs = poly_powmod(X, n, charpoly).coeffs
-            expect = list(coeffs) + [0] * (width - len(coeffs))
+            coeffs = x_powmod(n, charpoly.coeffs)
+            expect = coeffs + [0] * (width - len(coeffs))
             assert row == expect, (periods, n)
             assert text == list(map(str, expect)), (periods, n)
     assert n == n_rows - 1
@@ -583,8 +584,8 @@ def test_row_t_reversed_is_row_l_minus_1_minus_t():
 
 
 def padded_powmod_row(charpoly, r):
-    coeffs = poly_powmod(X, r, charpoly).coeffs
-    return list(coeffs) + [0] * (charpoly.degree - len(coeffs))
+    coeffs = x_powmod(r, charpoly.coeffs)
+    return coeffs + [0] * (charpoly.degree - len(coeffs))
 
 
 @pytest.mark.parametrize("periods, r", [
@@ -599,7 +600,7 @@ def padded_powmod_row(charpoly, r):
 ], ids=str)
 def test_single_row_routes_agree_on_both_sides_of_the_cost_rule(periods, r):
     # rows on both sides of N/2, below l, between l and 2l and past 2l, for a
-    # sparse and a dense P, against the generic powering
+    # sparse and a dense P, against the oracle's powering
     ps = PeriodSystem(periods)
     charpoly = characteristic_poly(ps)
     assert persum.reconstruction._row(charpoly, r, ps.modulus) == padded_powmod_row(charpoly, r)
@@ -618,7 +619,7 @@ def systems_of_lcm_at_most(n_max):
 @example(ps=PeriodSystem((23, 25)), x=-1)
 @example(ps=PeriodSystem((600,)), x=10**30 + 350)
 def test_walked_row_is_the_powered_row(ps, x):
-    # the single row, powered to the nearer end, against the generic powering
+    # the single row, powered to the nearer end, against the oracle's powering
     # and the walked table's row; r falls below and above N/2
     charpoly = characteristic_poly(ps)
     r = x % ps.modulus
@@ -1034,7 +1035,8 @@ def test_json_rejects_a_broken_wrap_around():
 def test_json_rejects_a_charpoly_of_another_spectrum():
     # Phi_1 Phi_2 Phi_6 divides x^6 - 1 like the charpoly of (2, 3), so
     # every row and the wrap agree, but it belongs to the closure {1, 2, 6}
-    other = cyclotomic_poly(1) * cyclotomic_poly(2) * cyclotomic_poly(6)
+    phi_1, phi_2, phi_6 = (cyclotomic_poly(d).coeffs for d in (1, 2, 6))
+    other = IntPolynomial(schoolbook_mul(schoolbook_mul(phi_1, phi_2), phi_6))
     doc = consistent_document(coefficient_table(PeriodSystem((2, 3))), other)
     with pytest.raises(ValueError, match="not the spectrum's"):
         table_from_json_dict(doc)
